@@ -140,8 +140,9 @@ impl BenchReport {
         s
     }
 
-    /// The `BENCH_server.json` document (stays inside the workspace
-    /// JSON subset: integers + decimal strings).
+    /// The `plurality-bench-server/v1` report that `--bench-out` writes
+    /// (stays inside the workspace JSON subset: integers + decimal
+    /// strings).
     #[must_use]
     pub fn to_json(&self, cfg: &BenchConfig) -> String {
         let mut s = format!(

@@ -16,7 +16,7 @@ use plurality_gossip::{FailureModel, GossipEngine, RatedActivation};
 use plurality_topology::Topology;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Outcome of one cache lookup.
@@ -52,6 +52,14 @@ pub struct RatesEntry {
     pub rated: Arc<RatedActivation>,
 }
 
+/// Lock one of the cache maps.  A map changes only by one `insert` after
+/// a build succeeded, so a build that panicked under the lock left it
+/// valid: a poisoned map is used as is, and one bad spec cannot fail
+/// every later job.
+fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Spec-keyed cache of prebuilt engine state.
 #[derive(Default)]
 pub struct StateCache {
@@ -85,7 +93,7 @@ impl StateCache {
     /// needing the same key build it exactly once.
     pub fn topology(&self, spec: &JobSpec) -> Result<(Arc<dyn Topology>, Lookup), String> {
         let key = spec.topology_key();
-        let mut map = self.topologies.lock().expect("topology cache poisoned");
+        let mut map = lock(&self.topologies);
         if let Some(t) = map.get(&key) {
             return Ok((
                 Arc::clone(t),
@@ -112,7 +120,7 @@ impl StateCache {
     /// The node-rate vector + alias sampler for `spec`, when it has one.
     pub fn node_rates(&self, spec: &JobSpec) -> Option<(Arc<RatesEntry>, Lookup)> {
         let key = spec.rates_key()?;
-        let mut map = self.rates.lock().expect("rates cache poisoned");
+        let mut map = lock(&self.rates);
         if let Some(e) = map.get(&key) {
             return Some((
                 Arc::clone(e),
@@ -150,7 +158,7 @@ impl StateCache {
         topology: &dyn Topology,
     ) -> Option<(EdgeTable, Lookup)> {
         let key = spec.edge_table_key(model);
-        let mut map = self.edge_tables.lock().expect("edge-table cache poisoned");
+        let mut map = lock(&self.edge_tables);
         if let Some(t) = map.get(&key) {
             return Some((
                 Arc::clone(t),
@@ -175,17 +183,8 @@ impl StateCache {
 
     /// Cumulative counters.
     pub fn stats(&self) -> CacheStats {
-        let entries = self
-            .topologies
-            .lock()
-            .expect("topology cache poisoned")
-            .len()
-            + self.rates.lock().expect("rates cache poisoned").len()
-            + self
-                .edge_tables
-                .lock()
-                .expect("edge-table cache poisoned")
-                .len();
+        let entries =
+            lock(&self.topologies).len() + lock(&self.rates).len() + lock(&self.edge_tables).len();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -221,6 +220,20 @@ mod tests {
         other_seed.seed = 77;
         let (_, third) = cache.topology(&other_seed).unwrap();
         assert!(!third.hit, "random-regular wiring depends on the seed");
+    }
+
+    #[test]
+    fn a_build_that_panics_leaves_the_cache_usable() {
+        let cache = StateCache::new();
+        let empty = JobSpec {
+            n: 0,
+            ..JobSpec::default()
+        };
+        let built = std::panic::catch_unwind(|| cache.topology(&empty).map(|_| ()));
+        assert!(built.is_err(), "a zero-node clique panics in its builder");
+        let (_, lookup) = cache.topology(&JobSpec::default()).unwrap();
+        assert!(!lookup.hit);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Job execution: resolve a [`JobSpec`] against the [`StateCache`] and
-//! run its trials, streaming one row per trial.
+//! Job execution: resolve a [`JobSpec`] against the [`StateCache`] once
+//! ([`prepare`]), then run its trials ([`PreparedJob::run_trial`]),
+//! streaming one row per trial.
 //!
 //! Seed derivation replicates the CLI paths exactly so identical specs
 //! give bit-identical results on either path (pinned by
@@ -10,15 +11,25 @@
 //! * mean-field — trial `i` draws from `stream_rng(seed, i)`, matching
 //!   `MonteCarlo`'s per-trial stream in `plurality run`.
 //!
+//! A row is therefore a function of the spec and the trial index alone:
+//! the server runs one job's trials on several workers at once, and
+//! [`run_job`] runs them in order on the caller's thread, with the same
+//! rows.
+//!
 //! Cached topologies are passed as `&dyn Topology` borrowed from the
 //! `Arc`, which preserves `as_any` downcasting and therefore the
 //! monomorphized engine fast paths.
 
-use crate::cache::{Lookup, StateCache};
+use crate::cache::{EdgeTable, Lookup, RatesEntry, StateCache};
 use crate::spec::{build_dynamics, EngineKind, JobSpec};
-use plurality_engine::{AgentEngine, MeanFieldEngine, Placement, StopReason, TrialResult};
-use plurality_gossip::{GossipEngine, GossipStats, NetworkConfig};
+use plurality_core::{Configuration, Dynamics};
+use plurality_engine::{
+    AgentEngine, MeanFieldEngine, Placement, RunOptions, StopReason, TrialResult,
+};
+use plurality_gossip::{ChurnModel, FailureModel, GossipEngine, GossipStats, NetworkConfig};
 use plurality_sampling::{derive_stream, stream_rng};
+use plurality_topology::Topology;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a job did not run to completion.
@@ -26,6 +37,8 @@ use std::time::{Duration, Instant};
 pub enum JobError {
     /// Spec resolution or execution failed outright.
     Failed(String),
+    /// Setup or a trial panicked (a bug, reported as `kind:"internal"`).
+    Internal(String),
     /// The job exceeded its wall-clock budget (`timeout-ms`) mid-run.
     /// Rows for the `completed` trials were already streamed; the
     /// remaining trials never ran.
@@ -46,7 +59,7 @@ impl From<String> for JobError {
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Failed(msg) => f.write_str(msg),
+            Self::Failed(msg) | Self::Internal(msg) => f.write_str(msg),
             Self::Timeout {
                 limit_ms,
                 completed,
@@ -121,7 +134,7 @@ impl JobCacheReport {
 }
 
 /// Summary of one completed job (the `done` line).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobOutcome {
     /// Trials executed.
     pub trials: usize,
@@ -131,13 +144,212 @@ pub struct JobOutcome {
     pub wins: usize,
     /// Cache resolution for this job.
     pub cache: JobCacheReport,
-    /// Nanoseconds from spec to first trial start (setup).
+    /// Nanoseconds of the job's one setup ([`prepare`]).
     pub setup_ns: u64,
-    /// Nanoseconds running trials.
+    /// Wall nanoseconds from the first trial's start to the last
+    /// trial's end (less than the sum of trial times when trials run
+    /// concurrently).
     pub run_ns: u64,
 }
 
-/// Run one job, calling `on_trial` with each finished trial in order.
+impl JobOutcome {
+    /// Count one finished trial into `trials`, `converged` and `wins`.
+    pub(crate) fn count(&mut self, row: &TrialRow) {
+        self.trials += 1;
+        self.converged += usize::from(row.converged);
+        self.wins += usize::from(row.success);
+    }
+}
+
+/// The engine a prepared job runs, holding the cached state it borrows.
+enum Plan {
+    Gossip(Box<GossipPlan>),
+    Agent(Arc<dyn Topology>),
+    MeanField,
+}
+
+/// A gossip engine's inputs beyond the spec's plain fields.
+struct GossipPlan {
+    topology: Arc<dyn Topology>,
+    /// A structured failure model with its prebuilt edge table and
+    /// Gilbert–Elliott slot count; `None` for the uniform baseline.
+    failure: Option<(FailureModel, Option<EdgeTable>, Option<usize>)>,
+    rates: Option<Arc<RatesEntry>>,
+    churn: Option<ChurnModel>,
+}
+
+/// A job after its once-per-job setup: dynamics, initial configuration,
+/// run options and the cached state its engine needs.  It is `Sync`, so
+/// threads sharing one through an `Arc` may run its trials concurrently.
+pub struct PreparedJob {
+    spec: JobSpec,
+    dynamics: Box<dyn Dynamics>,
+    cfg: Configuration,
+    opts: RunOptions,
+    plan: Plan,
+    cache: JobCacheReport,
+    started: Instant,
+    setup_ns: u64,
+}
+
+/// Set up `spec`: build its dynamics and configuration and look up
+/// (building on a miss) every cached artifact it needs, once per job.
+pub fn prepare(spec: &JobSpec, cache: &StateCache) -> Result<PreparedJob, JobError> {
+    let started = Instant::now();
+    let dynamics = build_dynamics(&spec.dynamics, spec.k, spec.h, spec.noise)?;
+    let cfg = spec.configuration();
+    let opts = spec.run_options();
+    let mut report = JobCacheReport::default();
+    let plan = match spec.engine {
+        EngineKind::Gossip => {
+            let (topology, lookup) = cache.topology(spec)?;
+            report.topology = Some(lookup);
+            let failure = spec.failure_model()?.map(|model| {
+                let table = cache
+                    .edge_table(spec, &model, &*topology)
+                    .map(|(table, lookup)| {
+                        report.edge_table = Some(lookup);
+                        table
+                    });
+                let slots = GossipEngine::ge_slot_count(&model, &*topology);
+                (model, table, slots)
+            });
+            let rates = cache.node_rates(spec).map(|(entry, lookup)| {
+                report.rates = Some(lookup);
+                entry
+            });
+            let churn = spec.churn_model()?;
+            // Validated at spec decode too; re-checked here so
+            // hand-constructed specs fail with a structured error
+            // instead of the engine builder's panic.
+            if churn.is_some() && !topology.supports_indexed_neighbors() {
+                return Err(JobError::Failed(format!(
+                    "churn is not supported on topology '{}': the membership \
+                     overlay needs indexed neighbor access",
+                    topology.name()
+                )));
+            }
+            Plan::Gossip(Box::new(GossipPlan {
+                topology,
+                failure,
+                rates,
+                churn,
+            }))
+        }
+        EngineKind::Agent => {
+            let (topology, lookup) = cache.topology(spec)?;
+            report.topology = Some(lookup);
+            Plan::Agent(topology)
+        }
+        EngineKind::MeanField => Plan::MeanField,
+    };
+    Ok(PreparedJob {
+        spec: spec.clone(),
+        dynamics,
+        cfg,
+        opts,
+        plan,
+        cache: report,
+        started,
+        setup_ns: started.elapsed().as_nanos() as u64,
+    })
+}
+
+impl PreparedJob {
+    /// Trials the job runs.
+    #[must_use]
+    pub fn trials(&self) -> usize {
+        self.spec.trials
+    }
+
+    /// `Err(Timeout)` if the job's `timeout-ms` budget, counted from the
+    /// start of its setup, has run out before trial `next` is handed out.
+    /// Trial 0 always runs.
+    pub(crate) fn over_budget(&self, next: usize) -> Result<(), JobError> {
+        match self.spec.timeout_ms {
+            Some(limit_ms)
+                if next > 0 && self.started.elapsed() >= Duration::from_millis(limit_ms) =>
+            {
+                Err(JobError::Timeout {
+                    limit_ms,
+                    completed: next,
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The `done` summary: the rows counted in `tally`, this job's one
+    /// setup, and `run` as the wall time of its trials.
+    #[must_use]
+    pub(crate) fn outcome(&self, tally: JobOutcome, run: Duration) -> JobOutcome {
+        JobOutcome {
+            cache: self.cache,
+            setup_ns: self.setup_ns,
+            run_ns: run.as_nanos() as u64,
+            ..tally
+        }
+    }
+
+    /// Run trial `i` and return its row.  The engine is assembled per
+    /// call from the prepared state, which costs no cache lookup and
+    /// consumes no randomness.
+    #[must_use]
+    pub fn run_trial(&self, i: usize) -> TrialRow {
+        let spec = &self.spec;
+        let dynamics = self.dynamics.as_ref();
+        let seed = derive_stream(spec.seed, i as u64);
+        match &self.plan {
+            Plan::Gossip(plan) => {
+                let GossipPlan {
+                    topology,
+                    failure,
+                    rates,
+                    churn,
+                } = &**plan;
+                let mut engine = GossipEngine::new(&**topology)
+                    .with_mode(spec.mode)
+                    .with_scheduler(spec.scheduler)
+                    .with_inbox_policy(spec.inbox_policy);
+                engine = match failure {
+                    Some((model, table, slots)) => {
+                        engine.with_prebuilt_failure_model(model.clone(), table.clone(), *slots)
+                    }
+                    None => engine.with_network(NetworkConfig::new(spec.delay, spec.loss)),
+                };
+                if let Some(entry) = rates {
+                    engine = engine.with_prebuilt_node_rates(
+                        Arc::clone(&entry.rates),
+                        Arc::clone(&entry.rated),
+                    );
+                }
+                if spec.rate_time {
+                    engine = engine.with_rate_weighted_time(true);
+                }
+                if let Some(model) = churn {
+                    engine = engine.with_churn_model(model.clone());
+                }
+                let (r, stats) =
+                    engine.run_detailed(dynamics, &self.cfg, Placement::Shuffled, &self.opts, seed);
+                TrialRow::from_result(i, &r, Some(stats))
+            }
+            Plan::Agent(topology) => {
+                let r = AgentEngine::new(&**topology)
+                    .with_threads(spec.threads)
+                    .run(dynamics, &self.cfg, Placement::Shuffled, &self.opts, seed);
+                TrialRow::from_result(i, &r, None)
+            }
+            Plan::MeanField => {
+                let mut rng = stream_rng(spec.seed, i as u64);
+                let r = MeanFieldEngine::new(dynamics).run(&self.cfg, &self.opts, &mut rng);
+                TrialRow::from_result(i, &r, None)
+            }
+        }
+    }
+}
+
+/// Run one job on the caller's thread, calling `on_trial` with each
+/// finished trial in order.
 ///
 /// With `timeout_ms` set, the wall clock is checked **between** trials
 /// (a trial is never interrupted mid-flight, and at least one always
@@ -148,155 +360,14 @@ pub fn run_job(
     cache: &StateCache,
     mut on_trial: impl FnMut(&TrialRow),
 ) -> Result<JobOutcome, JobError> {
-    let setup_start = Instant::now();
-    let deadline = spec
-        .timeout_ms
-        .map(|ms| (setup_start + Duration::from_millis(ms), ms));
-    let over_budget = |trial: usize| -> Result<(), JobError> {
-        match deadline {
-            Some((at, limit_ms)) if trial + 1 < spec.trials && Instant::now() >= at => {
-                Err(JobError::Timeout {
-                    limit_ms,
-                    completed: trial + 1,
-                })
-            }
-            _ => Ok(()),
-        }
-    };
-    let dynamics = build_dynamics(&spec.dynamics, spec.k, spec.h, spec.noise)?;
-    let cfg = spec.configuration();
-    let opts = spec.run_options();
-    let mut cache_report = JobCacheReport::default();
-
-    let mut converged = 0usize;
-    let mut wins = 0usize;
-    let mut note = |row: &TrialRow| {
-        if row.converged {
-            converged += 1;
-        }
-        if row.success {
-            wins += 1;
-        }
-    };
-
-    let run_ns;
-    match spec.engine {
-        EngineKind::Gossip => {
-            let (topology, topo_lookup) = cache.topology(spec)?;
-            cache_report.topology = Some(topo_lookup);
-            let mut engine = GossipEngine::new(&*topology)
-                .with_mode(spec.mode)
-                .with_scheduler(spec.scheduler)
-                .with_inbox_policy(spec.inbox_policy);
-            engine = match spec.failure_model()? {
-                Some(model) => {
-                    let table =
-                        cache
-                            .edge_table(spec, &model, &*topology)
-                            .map(|(table, lookup)| {
-                                cache_report.edge_table = Some(lookup);
-                                table
-                            });
-                    let slots = GossipEngine::ge_slot_count(&model, &*topology);
-                    engine.with_prebuilt_failure_model(model, table, slots)
-                }
-                None => engine.with_network(NetworkConfig::new(spec.delay, spec.loss)),
-            };
-            if let Some((entry, lookup)) = cache.node_rates(spec) {
-                cache_report.rates = Some(lookup);
-                engine = engine.with_prebuilt_node_rates(entry.rates.clone(), entry.rated.clone());
-            }
-            if spec.rate_time {
-                engine = engine.with_rate_weighted_time(true);
-            }
-            if let Some(model) = spec.churn_model()? {
-                // Validated at spec decode too; re-checked here so
-                // hand-constructed specs fail with a structured error
-                // instead of the engine builder's panic.
-                if !topology.supports_indexed_neighbors() {
-                    return Err(JobError::Failed(format!(
-                        "churn is not supported on topology '{}': the membership \
-                         overlay needs indexed neighbor access",
-                        topology.name()
-                    )));
-                }
-                engine = engine.with_churn_model(model);
-            }
-            let setup_ns = setup_start.elapsed().as_nanos() as u64;
-            let run_start = Instant::now();
-            for i in 0..spec.trials {
-                let (r, stats) = engine.run_detailed(
-                    dynamics.as_ref(),
-                    &cfg,
-                    Placement::Shuffled,
-                    &opts,
-                    derive_stream(spec.seed, i as u64),
-                );
-                let row = TrialRow::from_result(i, &r, Some(stats));
-                note(&row);
-                on_trial(&row);
-                over_budget(i)?;
-            }
-            run_ns = run_start.elapsed().as_nanos() as u64;
-            Ok(JobOutcome {
-                trials: spec.trials,
-                converged,
-                wins,
-                cache: cache_report,
-                setup_ns,
-                run_ns,
-            })
-        }
-        EngineKind::Agent => {
-            let (topology, topo_lookup) = cache.topology(spec)?;
-            cache_report.topology = Some(topo_lookup);
-            let engine = AgentEngine::new(&*topology).with_threads(spec.threads);
-            let setup_ns = setup_start.elapsed().as_nanos() as u64;
-            let run_start = Instant::now();
-            for i in 0..spec.trials {
-                let r = engine.run(
-                    dynamics.as_ref(),
-                    &cfg,
-                    Placement::Shuffled,
-                    &opts,
-                    derive_stream(spec.seed, i as u64),
-                );
-                let row = TrialRow::from_result(i, &r, None);
-                note(&row);
-                on_trial(&row);
-                over_budget(i)?;
-            }
-            run_ns = run_start.elapsed().as_nanos() as u64;
-            Ok(JobOutcome {
-                trials: spec.trials,
-                converged,
-                wins,
-                cache: cache_report,
-                setup_ns,
-                run_ns,
-            })
-        }
-        EngineKind::MeanField => {
-            let engine = MeanFieldEngine::new(dynamics.as_ref());
-            let setup_ns = setup_start.elapsed().as_nanos() as u64;
-            let run_start = Instant::now();
-            for i in 0..spec.trials {
-                let mut rng = stream_rng(spec.seed, i as u64);
-                let r = engine.run(&cfg, &opts, &mut rng);
-                let row = TrialRow::from_result(i, &r, None);
-                note(&row);
-                on_trial(&row);
-                over_budget(i)?;
-            }
-            run_ns = run_start.elapsed().as_nanos() as u64;
-            Ok(JobOutcome {
-                trials: spec.trials,
-                converged,
-                wins,
-                cache: cache_report,
-                setup_ns,
-                run_ns,
-            })
-        }
+    let job = prepare(spec, cache)?;
+    let run_start = Instant::now();
+    let mut tally = JobOutcome::default();
+    for i in 0..job.trials() {
+        job.over_budget(i)?;
+        let row = job.run_trial(i);
+        tally.count(&row);
+        on_trial(&row);
     }
+    Ok(job.outcome(tally, run_start.elapsed()))
 }

@@ -282,6 +282,12 @@ impl JobSpec {
         if self.trials == 0 {
             return Err("trials must be positive".into());
         }
+        if self.k == 0 {
+            return Err("k must be positive".into());
+        }
+        if self.dynamics == "h-plurality" && self.h == 0 {
+            return Err("h must be positive for h-plurality".into());
+        }
         let topology = self.topology_spec()?;
         if let Some(dsl) = &self.churn {
             if self.engine != EngineKind::Gossip {
@@ -582,6 +588,8 @@ mod tests {
             r#"{"loss":"1.5"}"#,
             r#"{"fast-rate":"0"}"#,
             r#"{"trials":0}"#,
+            r#"{"k":0}"#,
+            r#"{"dynamics":"h-plurality","h":0}"#,
             r#"{"n":10,"bias":11}"#,
             r#"{"stop":"sometimes"}"#,
             r#"{"engine":"quantum"}"#,

@@ -103,12 +103,18 @@ pub fn done_line(id: &JobId, outcome: &JobOutcome) -> String {
 /// The terminal `error` line for a job that did not complete.  A
 /// timeout is structured — `"kind":"timeout"` plus `limit-ms` and
 /// `completed` fields — so clients can distinguish a budget cutoff
-/// (partial rows are valid) from a hard failure; the human-readable
-/// `error` field is carried in both cases.
+/// (partial rows are valid) from a hard failure; a panic in the server
+/// is `"kind":"internal"`.  The human-readable `error` field is carried
+/// in every case.
 #[must_use]
 pub fn job_error_line(id: &JobId, err: &JobError) -> String {
     match err {
         JobError::Failed(msg) => error_line(Some(id), msg),
+        JobError::Internal(msg) => format!(
+            "{{\"event\":\"error\",\"id\":{},\"kind\":\"internal\",\"error\":{}}}",
+            id.render(),
+            escape(msg),
+        ),
         JobError::Timeout {
             limit_ms,
             completed,
@@ -184,5 +190,12 @@ mod tests {
         let v = json::parse(&plain).unwrap();
         assert!(v.get("kind").is_none());
         assert_eq!(v.get("error").and_then(Json::as_str), Some("boom"));
+        let internal = job_error_line(&id, &JobError::Internal("trial 2 panicked".into()));
+        let v = json::parse(&internal).unwrap();
+        assert_eq!(v.get("kind").and_then(Json::as_str), Some("internal"));
+        assert_eq!(
+            v.get("error").and_then(Json::as_str),
+            Some("trial 2 panicked")
+        );
     }
 }

@@ -12,8 +12,10 @@ use plurality_engine::{AgentEngine, MeanFieldEngine, MonteCarlo, Placement, Stop
 use plurality_gossip::{ExchangeMode, FailureModel, GossipEngine, NetworkConfig};
 use plurality_sampling::{derive_stream, stream_rng};
 use plurality_server::spec::build_dynamics;
-use plurality_server::{JobSpec, Server};
+use plurality_server::wire::{trial_line, JobId};
+use plurality_server::{run_job, JobSpec, Server, StateCache};
 use plurality_telemetry::json::{self, Json};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -54,6 +56,41 @@ fn collect(stream: &mut TcpStream, id: u64) -> (Vec<Json>, Json) {
             other => panic!("unexpected event {other:?}"),
         }
     }
+}
+
+/// Read raw lines until every id in `ids` has its done/error line;
+/// returns each id's lines in arrival order.
+fn collect_raw(stream: &TcpStream, ids: &[u64]) -> HashMap<u64, Vec<String>> {
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut lines: HashMap<u64, Vec<String>> = HashMap::new();
+    let mut open = ids.len();
+    while open > 0 {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line).expect("read response line");
+        assert!(n > 0, "server closed the stream mid-job");
+        let doc = json::parse(line.trim()).expect("response line must parse");
+        let id = num(&doc, "id");
+        if matches!(
+            doc.get("event").and_then(Json::as_str),
+            Some("done") | Some("error")
+        ) {
+            open -= 1;
+        }
+        lines.entry(id).or_default().push(line.trim().to_string());
+    }
+    lines
+}
+
+fn stats_counters(stream: &mut TcpStream) -> Json {
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    stream.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+    reader.read_line(&mut line).unwrap();
+    let doc = json::parse(line.trim()).unwrap();
+    doc.get("report")
+        .and_then(|r| r.get("counters"))
+        .expect("counters")
+        .clone()
 }
 
 fn num(doc: &Json, key: &str) -> u64 {
@@ -400,6 +437,165 @@ fn timeout_jobs_emit_structured_error_with_partial_rows() {
 
     plurality_server::send_shutdown(&addr.to_string()).expect("shutdown");
     drop(reader);
+    drop(stream);
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn trials_fan_out_across_workers_and_stream_in_trial_order() {
+    // More trials than workers, several jobs in flight on one
+    // connection: idle workers take later trials of the oldest job.
+    let gossip = JobSpec {
+        n: 400,
+        k: 3,
+        bias: Some(80),
+        topology: "random-regular".into(),
+        degree: 6,
+        mode: ExchangeMode::PushPull,
+        failure: Some("ge:up=4,down=4,loss=0.8".into()),
+        trials: 5,
+        max_rounds: 20_000,
+        ..JobSpec::default()
+    };
+    let specs = [
+        JobSpec {
+            seed: 21,
+            ..gossip.clone()
+        },
+        JobSpec {
+            engine: plurality_server::EngineKind::Agent,
+            dynamics: "undecided".into(),
+            topology: "torus".into(),
+            trials: 4,
+            seed: 22,
+            ..gossip.clone()
+        },
+        JobSpec {
+            seed: 23,
+            ..gossip.clone()
+        },
+        JobSpec {
+            engine: plurality_server::EngineKind::MeanField,
+            topology: "clique".into(),
+            failure: None,
+            trials: 7,
+            seed: 24,
+            ..gossip.clone()
+        },
+    ];
+    let (addr, handle) = Server::spawn("127.0.0.1:0", 3).expect("spawn server");
+    let mut stream = connect(addr);
+    let mut ids = Vec::new();
+    for (id, spec) in (100u64..).zip(&specs) {
+        let line = format!(
+            "{{\"op\":\"run\",\"id\":{id},\"spec\":{}}}\n",
+            spec.to_json()
+        );
+        stream.write_all(line.as_bytes()).expect("submit job");
+        ids.push(id);
+    }
+    let lines = collect_raw(&stream, &ids);
+
+    for (id, spec) in ids.iter().zip(&specs) {
+        let mut expected = Vec::new();
+        run_job(spec, &StateCache::new(), |row| {
+            expected.push(trial_line(&JobId::Num(u128::from(*id)), row));
+        })
+        .expect("in-process run");
+        let got = &lines[id];
+        let (done, rows) = got.split_last().expect("job answered");
+        assert_eq!(
+            rows, expected,
+            "job {id}: rows in trial order, byte for byte"
+        );
+        let done = json::parse(done).unwrap();
+        assert_eq!(done.get("event").and_then(Json::as_str), Some("done"));
+        assert_eq!(num(&done, "trials"), spec.trials as u64);
+    }
+
+    plurality_server::send_shutdown(&addr.to_string()).expect("shutdown");
+    drop(stream);
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn timeouts_with_fanned_out_trials_stream_a_prefix() {
+    // The 2-worker twin of the timeout test above: trials already handed
+    // out finish, so the rows are exactly trials 0..completed.
+    let spec = JobSpec {
+        dynamics: "3-majority".into(),
+        n: 3_000,
+        k: 3,
+        bias: Some(600),
+        trials: 40,
+        seed: 2,
+        max_rounds: 20_000,
+        timeout_ms: Some(1),
+        ..JobSpec::default()
+    };
+    let (addr, handle) = Server::spawn("127.0.0.1:0", 2).expect("spawn server");
+    let mut stream = connect(addr);
+    let (trials, terminal) = submit(&mut stream, 5, &spec);
+
+    assert_eq!(terminal.get("kind").and_then(Json::as_str), Some("timeout"));
+    let completed = num(&terminal, "completed");
+    assert!(
+        completed >= 1 && completed < spec.trials as u64,
+        "a timeout must land mid-job (completed = {completed})"
+    );
+    let streamed: Vec<u64> = trials.iter().map(|doc| num(doc, "trial")).collect();
+    assert_eq!(streamed, (0..completed).collect::<Vec<_>>());
+    let counters = stats_counters(&mut stream);
+    assert_eq!(num(&counters, "jobs_timed_out"), 1);
+    assert_eq!(num(&counters, "trials_run"), completed);
+
+    plurality_server::send_shutdown(&addr.to_string()).expect("shutdown");
+    drop(stream);
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn bad_jobs_answer_errors_and_the_worker_keeps_serving() {
+    let (addr, handle) = Server::spawn("127.0.0.1:0", 1).expect("spawn server");
+    let mut stream = connect(addr);
+    // An empty population gets past validation and panics in the
+    // topology builder, under the cache lock.
+    let empty = JobSpec {
+        n: 0,
+        ..JobSpec::default()
+    };
+    let (rows, terminal) = submit(&mut stream, 1, &empty);
+    assert!(rows.is_empty());
+    assert_eq!(terminal.get("event").and_then(Json::as_str), Some("error"));
+    let bad = JobSpec {
+        k: 0,
+        ..JobSpec::default()
+    };
+    let (rows, terminal) = submit(&mut stream, 2, &bad);
+    assert!(rows.is_empty());
+    assert_eq!(terminal.get("event").and_then(Json::as_str), Some("error"));
+    let msg = terminal.get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        msg.contains("k must be positive"),
+        "structured error: {msg}"
+    );
+
+    let good = JobSpec {
+        n: 400,
+        k: 2,
+        bias: Some(80),
+        trials: 2,
+        max_rounds: 5_000,
+        ..JobSpec::default()
+    };
+    let (rows, done) = submit(&mut stream, 3, &good);
+    assert_eq!(done.get("event").and_then(Json::as_str), Some("done"));
+    assert_eq!(rows.len(), 2);
+    let counters = stats_counters(&mut stream);
+    assert_eq!(num(&counters, "jobs_completed"), 1);
+    assert_eq!(num(&counters, "jobs_failed"), 2);
+
+    plurality_server::send_shutdown(&addr.to_string()).expect("shutdown");
     drop(stream);
     handle.join().expect("server thread");
 }

@@ -160,11 +160,14 @@ metric_enum! {
         /// Jobs the server ran to completion.
         JobsCompleted => "jobs_completed",
         /// Jobs rejected or failed by the server (bad spec, engine
-        /// error, or timeout).
+        /// error, timeout, or panic).
         JobsFailed => "jobs_failed",
         /// Jobs aborted by their per-job wall-clock timeout (also
         /// counted in `jobs_failed`).
         JobsTimedOut => "jobs_timed_out",
+        /// Jobs whose setup or a trial panicked on a server worker
+        /// (also counted in `jobs_failed`).
+        JobsPanicked => "jobs_panicked",
         /// Server prebuilt-state cache lookups that found an entry.
         CacheHits => "cache_hits",
         /// Server prebuilt-state cache lookups that had to build.
