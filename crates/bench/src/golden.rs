@@ -87,6 +87,10 @@ fn three_majority() -> Box<dyn Dynamics> {
     Box::new(ThreeMajority::new())
 }
 
+fn three_majority_uar() -> Box<dyn Dynamics> {
+    Box::new(ThreeMajority::with_uniform_ties())
+}
+
 fn plurality7() -> Box<dyn Dynamics> {
     Box::new(HPlurality::new(7))
 }
@@ -230,6 +234,42 @@ pub const AGENT_CASES: &[AgentCase] = &[
         rounds: 13,
         winner: Some(0),
         fingerprint: 0x7f7d_0634_91db_4b0c,
+    },
+    // Rules whose neighbor draws all come before any other randomness
+    // (`Dynamics::leading_draws`).  h-plurality on Chung–Lu puts the
+    // data-dependent self-loop rejection inside each node's gather, and
+    // uniform-tie 3-majority draws its tie-break after the three samples.
+    // Both were recorded while these rules still took the one-pass pull
+    // loop, so they hold the gather to the old draw order.
+    AgentCase {
+        label: "chung-lu(1500,dmin=4,dmax=100,gamma=2.5) 5-plurality 1 thread",
+        topology: chung_lu1500,
+        dynamics: plurality5,
+        threads: 1,
+        seed: 63,
+        rounds: 5,
+        winner: Some(0),
+        fingerprint: 0xb143_a171_b50e_3829,
+    },
+    AgentCase {
+        label: "chung-lu(1500,dmin=4,dmax=100,gamma=2.5) 5-plurality 2 threads (same trial)",
+        topology: chung_lu1500,
+        dynamics: plurality5,
+        threads: 2,
+        seed: 63,
+        rounds: 5,
+        winner: Some(0),
+        fingerprint: 0xb143_a171_b50e_3829,
+    },
+    AgentCase {
+        label: "clique(2000) 3-majority-uar 1 thread",
+        topology: clique2000,
+        dynamics: three_majority_uar,
+        threads: 1,
+        seed: 22,
+        rounds: 8,
+        winner: Some(0),
+        fingerprint: 0xc056_0ca0_09f6_7e37,
     },
 ];
 
@@ -445,7 +485,7 @@ mod tests {
 
     #[test]
     fn tables_are_well_formed() {
-        assert_eq!(AGENT_CASES.len(), 12);
+        assert_eq!(AGENT_CASES.len(), 15);
         assert_eq!(GOSSIP_CASES.len(), 4);
         for c in AGENT_CASES {
             assert!(!c.label.is_empty());
