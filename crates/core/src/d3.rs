@@ -313,6 +313,10 @@ impl Dynamics for TableD3 {
     fn has_fast_kernel(&self) -> bool {
         true
     }
+
+    fn fixed_draws(&self) -> Option<usize> {
+        Some(3)
+    }
 }
 
 impl SealedDynamics for TableD3 {}

@@ -101,14 +101,12 @@ impl SampleSource for CliqueSampler<'_> {
 
 /// Reusable per-thread scratch buffers for [`Dynamics::node_update`].
 ///
-/// Node updates run `n` times per round; allocating sample/count buffers
-/// per call would dominate the runtime (see the workspace performance
+/// Node updates run `n` times per round; allocating count buffers per
+/// call would dominate the runtime (see the workspace performance
 /// notes in DESIGN.md).  Engines create one `NodeScratch` per worker
 /// thread and pass it through.
 #[derive(Debug, Default, Clone)]
 pub struct NodeScratch {
-    /// Sampled states for the current node (≤ h entries).
-    pub samples: Vec<u32>,
     /// Occurrence counts indexed by state; only `touched` entries are
     /// guaranteed meaningful and are reset after each update.
     pub counts: Vec<u32>,
@@ -121,7 +119,6 @@ impl NodeScratch {
     #[must_use]
     pub fn with_states(state_count: usize) -> Self {
         Self {
-            samples: Vec::with_capacity(16),
             counts: vec![0; state_count],
             touched: Vec::with_capacity(16),
         }
@@ -142,7 +139,6 @@ impl NodeScratch {
             self.counts[t as usize] = 0;
         }
         self.touched.clear();
-        self.samples.clear();
     }
 
     /// Record one sampled state into the counters.
@@ -153,7 +149,6 @@ impl NodeScratch {
             self.touched.push(state);
         }
         *slot += 1;
-        self.samples.push(state);
     }
 }
 
@@ -257,6 +252,21 @@ pub trait Dynamics: Send + Sync {
     fn fixed_draws(&self) -> Option<usize> {
         None
     }
+
+    /// `Some(s)` iff [`Self::node_update`] makes **exactly `s` sampler
+    /// draws, all before it touches `rng` for anything else**, for every
+    /// input.  What it does with `rng` afterwards (a uniform tie-break,
+    /// a reservoir pass) is unconstrained.
+    ///
+    /// Like [`Self::fixed_draws`] this is a strict promise: an engine may
+    /// gather one node's `s` neighbor draws up front and then run the
+    /// rule over the gathered states, without changing the PRNG sequence.
+    /// Every `fixed_draws` rule has equal leading draws, which is the
+    /// default; rules that draw their own randomness after the samples
+    /// override this.
+    fn leading_draws(&self) -> Option<usize> {
+        self.fixed_draws()
+    }
 }
 
 /// Recover a concrete dynamics type from a `&dyn Dynamics` (via
@@ -352,6 +362,10 @@ impl Dynamics for DynDynamics<'_> {
 
     fn fixed_draws(&self) -> Option<usize> {
         self.0.fixed_draws()
+    }
+
+    fn leading_draws(&self) -> Option<usize> {
+        self.0.leading_draws()
     }
 }
 
@@ -495,12 +509,10 @@ mod tests {
         assert_eq!(s.counts[3], 2);
         assert_eq!(s.counts[5], 1);
         assert_eq!(s.touched, vec![3, 5]);
-        assert_eq!(s.samples, vec![3, 3, 5]);
         s.clear_counts();
         assert_eq!(s.counts[3], 0);
         assert_eq!(s.counts[5], 0);
         assert!(s.touched.is_empty());
-        assert!(s.samples.is_empty());
     }
 
     #[test]

@@ -89,9 +89,14 @@ impl Dynamics for ThreeMajority {
             // Exactly three draws, tie resolved without randomness.
             TieRule::FirstSample => Some(3),
             // Three-way ties consume an extra `gen_range` — draw count is
-            // fixed but RNG consumption is not.
+            // fixed but RNG consumption is not.  The three draws still
+            // lead: the tie-break comes after them (`leading_draws`).
             TieRule::UniformRandom => None,
         }
+    }
+
+    fn leading_draws(&self) -> Option<usize> {
+        Some(3)
     }
 }
 
@@ -216,8 +221,13 @@ impl Dynamics for HPlurality {
     fn fixed_draws(&self) -> Option<usize> {
         // The argmax tie-break is a reservoir pass that consumes
         // `gen_range` even for a unique winner, so RNG consumption is
-        // never limited to the `h` sampler draws.
+        // never limited to the `h` sampler draws.  It runs only after all
+        // `h` samples are tallied, so those draws lead (`leading_draws`).
         None
+    }
+
+    fn leading_draws(&self) -> Option<usize> {
+        Some(self.h)
     }
 }
 

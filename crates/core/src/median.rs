@@ -96,6 +96,10 @@ impl Dynamics for MedianOwn {
     fn has_fast_kernel(&self) -> bool {
         true
     }
+
+    fn fixed_draws(&self) -> Option<usize> {
+        Some(2)
+    }
 }
 
 impl SealedDynamics for MedianOwn {}
@@ -158,6 +162,10 @@ impl Dynamics for Median3 {
 
     fn has_fast_kernel(&self) -> bool {
         true
+    }
+
+    fn fixed_draws(&self) -> Option<usize> {
+        Some(3)
     }
 }
 

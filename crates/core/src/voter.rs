@@ -110,6 +110,11 @@ impl Dynamics for TwoSample {
         // Disagreement consumes a coin flip beyond the two draws.
         None
     }
+
+    fn leading_draws(&self) -> Option<usize> {
+        // The coin is flipped only after both draws.
+        Some(2)
+    }
 }
 
 impl SealedDynamics for TwoSample {}
