@@ -34,14 +34,26 @@
 //! trajectory is independent of the word width; a pin test forces each
 //! width over the same seed and compares traces.
 //!
-//! # Batched neighbor draws
+//! # Gathered neighbor draws
 //!
-//! Rules that declare [`Dynamics::fixed_draws`]`= Some(s)` (exactly `s`
-//! sampler draws, no other randomness) run a two-pass chunk loop: first a
-//! tight gather of `s` neighbor states per node for a batch of nodes in
-//! node order, then the branchy rule evaluation over the prefilled
-//! buffer.  The PRNG sequence is identical to the one-pass path — the
-//! draws happen in the same order — so golden fingerprints pin both.
+//! Rules that declare [`Dynamics::leading_draws`]`= Some(s)` (exactly `s`
+//! sampler draws, made before any other randomness) run a
+//! gather-then-evaluate chunk loop: first a tight gather of `s` neighbor
+//! states per node in node order, then the branchy rule evaluation over
+//! the gathered states.  The gather has no branch on a loaded state, so
+//! the neighbor reads of one gather overlap in the memory system instead
+//! of waiting on each other.
+//!
+//! * A rule that draws nothing else ([`Dynamics::fixed_draws`]) gathers
+//!   `BATCH_NODES` nodes at a time.
+//! * A rule that draws more randomness after its samples (h-plurality's
+//!   tie-break, uniform-tie 3-majority, 2-sample's coin) gathers one node
+//!   at a time, so its own draws keep their place in the chunk stream.
+//! * A rule without leading draws (noisy 3-majority, whose noise coin
+//!   comes before each sample) takes the one-pass pull loop.
+//!
+//! The PRNG sequence is identical on every path — the draws happen in the
+//! same order — so golden fingerprints pin all of them.
 //!
 //! # Devirtualization
 //!
@@ -148,9 +160,32 @@ pub struct AgentEngine<'t> {
     width: StateWidth,
 }
 
-/// Nodes per prefill batch on the batched-draw path; bounds the gather
-/// buffer at `BATCH_NODES · s` words so it stays cache-resident.
+/// Nodes per gather for rules with [`Dynamics::fixed_draws`]; bounds the
+/// gather buffer at `BATCH_NODES · s` words so it stays cache-resident.
 const BATCH_NODES: usize = 1024;
+
+/// How [`process_span`] gathers a rule's leading neighbor draws: `draws`
+/// per node for `nodes` nodes, before it evaluates any of them.
+#[derive(Debug, Clone, Copy)]
+struct Gather {
+    draws: usize,
+    nodes: usize,
+}
+
+impl Gather {
+    /// `None` for a rule without leading draws, which takes the pull
+    /// loop.  Only a rule that draws nothing but its samples may gather
+    /// ahead of other nodes' evaluations; any other gathers one node.
+    fn for_rule<D: Dynamics>(dynamics: &D) -> Option<Self> {
+        let draws = dynamics.leading_draws().filter(|&s| s > 0)?;
+        let nodes = if dynamics.fixed_draws() == Some(draws) {
+            BATCH_NODES
+        } else {
+            1
+        };
+        Some(Self { draws, nodes })
+    }
+}
 
 /// A state word narrow enough for the dynamics' state count, with the
 /// atomic twin the shared (parallel) buffers use.  All loads/stores are
@@ -247,9 +282,9 @@ impl<T: TopologyCore, S: ReadStates + ?Sized> SampleSource for NeighborSource<'_
     }
 }
 
-/// Replays prefilled neighbor states on the batched-draw path.  Consumes
-/// no randomness: the prefill pass already drew every sample, in node
-/// order, from the chunk's stream.
+/// Replays gathered neighbor states to the rule.  Consumes no randomness:
+/// the gather already drew every sample, in node order, from the chunk's
+/// stream.
 struct SliceSource<'a> {
     buf: &'a [u32],
     pos: usize,
@@ -279,18 +314,18 @@ impl<S: SampleSource> SampleSource for CountingSource<S> {
     }
 }
 
-/// Per-worker reusable buffers: the dynamics scratch plus the
-/// batched-draw gather buffer.
+/// Per-worker reusable buffers: the dynamics scratch plus the gather
+/// buffer.
 struct WorkerScratch {
     scratch: NodeScratch,
     batch: Vec<u32>,
 }
 
 impl WorkerScratch {
-    fn new(state_count: usize, fixed: Option<usize>) -> Self {
+    fn new(state_count: usize, gather: Option<Gather>) -> Self {
         Self {
             scratch: NodeScratch::with_states(state_count),
-            batch: Vec::with_capacity(fixed.map_or(0, |s| BATCH_NODES * s)),
+            batch: Vec::with_capacity(gather.map_or(0, |g| g.nodes * g.draws)),
         }
     }
 }
@@ -303,9 +338,9 @@ impl WorkerScratch {
 /// untouched).
 ///
 /// Chunk `c` always draws from stream `stream_base + c` of the trial
-/// seed, and, when `fixed = Some(s)`, the prefill pass draws the same
-/// samples in the same node order as the one-pass path — both halves of
-/// the determinism contract (see the module docs).
+/// seed, and, with a `gather`, the gather draws the same samples in the
+/// same node order as the pull loop — both halves of the determinism
+/// contract (see the module docs).
 #[allow(clippy::too_many_arguments)]
 fn process_span<T, D, S, Rec, Out>(
     topology: &T,
@@ -317,7 +352,7 @@ fn process_span<T, D, S, Rec, Out>(
     chunk: usize,
     stream_base: u64,
     seed: u64,
-    fixed: Option<usize>,
+    gather: Option<Gather>,
     ws: &mut WorkerScratch,
     counts: &mut [u64],
     write: &mut Out,
@@ -337,11 +372,11 @@ where
         }
         let end = ((chunk_index + 1) * chunk).min(n);
         let mut rng = stream_rng(seed, stream_base + chunk_index as u64);
-        if let Some(s) = fixed {
-            // Two-pass batched path: gather, then evaluate.
+        if let Some(Gather { draws: s, nodes }) = gather {
+            // Gather `nodes` nodes' leading draws, then evaluate them.
             let mut node = start;
             while node < end {
-                let batch_end = (node + BATCH_NODES).min(end);
+                let batch_end = (node + nodes).min(end);
                 ws.batch.clear();
                 for node_i in node..batch_end {
                     for _ in 0..s {
@@ -382,7 +417,7 @@ where
                     debug_assert_eq!(
                         pos,
                         (node_i - node + 1) * s,
-                        "fixed_draws promised exactly {s} draws per node"
+                        "leading_draws promised exactly {s} draws per node"
                     );
                     write(node_i, new);
                     counts[new as usize] += 1;
@@ -805,13 +840,13 @@ impl<'t> AgentEngine<'t> {
         let n = layout.len();
         let chunk = self.chunk_size;
         let num_chunks = n.div_ceil(chunk);
-        let fixed = dynamics.fixed_draws().filter(|&s| s > 0);
+        let gather = Gather::for_rule(dynamics);
         rec.phase_start(Phase::Run);
 
         if self.threads <= 1 || num_chunks <= 1 {
             let mut cur: Vec<W> = layout.iter().map(|&s| W::from_u32(s)).collect();
             let mut nxt: Vec<W> = vec![W::from_u32(0); n];
-            let mut ws = WorkerScratch::new(state_count, fixed);
+            let mut ws = WorkerScratch::new(state_count, gather);
             let mut rounds = 0u64;
             loop {
                 let round_t0 = if Rec::ENABLED {
@@ -831,7 +866,7 @@ impl<'t> AgentEngine<'t> {
                     chunk,
                     stream_base,
                     seed,
-                    fixed,
+                    gather,
                     &mut ws,
                     &mut counts,
                     &mut |i, v| nxt[i] = W::from_u32(v),
@@ -884,7 +919,7 @@ impl<'t> AgentEngine<'t> {
                 scope.spawn(move || {
                     let first_chunk = w * chunks_per;
                     let last_chunk = ((w + 1) * chunks_per).min(num_chunks);
-                    let mut ws = WorkerScratch::new(state_count, fixed);
+                    let mut ws = WorkerScratch::new(state_count, gather);
                     let mut local = vec![0u64; state_count];
                     let mut round = 0u64;
                     loop {
@@ -904,7 +939,7 @@ impl<'t> AgentEngine<'t> {
                             chunk,
                             1 + round * num_chunks as u64,
                             seed,
-                            fixed,
+                            gather,
                             &mut ws,
                             &mut local,
                             &mut |i, v| W::atomic_store(&nxt[i], v),
@@ -930,7 +965,7 @@ impl<'t> AgentEngine<'t> {
             // The coordinator is worker 0: it processes the first span,
             // then merges counts and runs the bookkeeping between the
             // two barriers.
-            let mut ws = WorkerScratch::new(state_count, fixed);
+            let mut ws = WorkerScratch::new(state_count, gather);
             let mut rounds = 0u64;
             loop {
                 let round_t0 = if Rec::ENABLED {
@@ -954,7 +989,7 @@ impl<'t> AgentEngine<'t> {
                     chunk,
                     1 + rounds * num_chunks as u64,
                     seed,
-                    fixed,
+                    gather,
                     &mut ws,
                     &mut counts,
                     &mut |i, v| W::atomic_store(&nxt[i], v),
@@ -1257,6 +1292,18 @@ mod tests {
             &mut vrec,
         );
         assert_eq!(vrec.counter(Counter::SamplesDrawn), 600 * vr.rounds);
+
+        // h-plurality counts through the one-node gather: still exactly h.
+        let mut hrec = MetricsRecorder::new();
+        let hr = AgentEngine::new(&clique).run_recorded(
+            &HPlurality::new(5),
+            &cfg,
+            Placement::Shuffled,
+            &RunOptions::with_max_rounds(25),
+            43,
+            &mut hrec,
+        );
+        assert_eq!(hrec.counter(Counter::SamplesDrawn), 5 * 600 * hr.rounds);
     }
 
     #[test]
