@@ -223,14 +223,24 @@ mod tests {
     }
 
     #[test]
-    fn a_build_that_panics_leaves_the_cache_usable() {
+    fn a_panic_under_the_lock_leaves_the_cache_usable() {
         let cache = StateCache::new();
+        // Poison the map as a build panicking under the lock would.  No
+        // job spec reaches a panicking builder, so panic here directly.
+        let poisoned = std::panic::catch_unwind(|| {
+            let _map = cache.topologies.lock().expect("fresh lock");
+            panic!("a build panicked under the lock");
+        });
+        assert!(poisoned.is_err());
+        assert!(cache.topologies.is_poisoned());
         let empty = JobSpec {
             n: 0,
             ..JobSpec::default()
         };
-        let built = std::panic::catch_unwind(|| cache.topology(&empty).map(|_| ()));
-        assert!(built.is_err(), "a zero-node clique panics in its builder");
+        assert!(
+            cache.topology(&empty).is_err(),
+            "a zero-node clique is an Err"
+        );
         let (_, lookup) = cache.topology(&JobSpec::default()).unwrap();
         assert!(!lookup.hit);
         assert_eq!(cache.stats().entries, 1);

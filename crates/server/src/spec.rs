@@ -282,6 +282,9 @@ impl JobSpec {
         if self.trials == 0 {
             return Err("trials must be positive".into());
         }
+        if self.n == 0 {
+            return Err("n must be positive".into());
+        }
         if self.k == 0 {
             return Err("k must be positive".into());
         }
@@ -588,6 +591,7 @@ mod tests {
             r#"{"loss":"1.5"}"#,
             r#"{"fast-rate":"0"}"#,
             r#"{"trials":0}"#,
+            r#"{"n":0}"#,
             r#"{"k":0}"#,
             r#"{"dynamics":"h-plurality","h":0}"#,
             r#"{"n":10,"bias":11}"#,

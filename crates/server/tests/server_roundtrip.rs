@@ -558,8 +558,8 @@ fn timeouts_with_fanned_out_trials_stream_a_prefix() {
 fn bad_jobs_answer_errors_and_the_worker_keeps_serving() {
     let (addr, handle) = Server::spawn("127.0.0.1:0", 1).expect("spawn server");
     let mut stream = connect(addr);
-    // An empty population gets past validation and panics in the
-    // topology builder, under the cache lock.
+    // An empty population is refused by validation, before any topology
+    // is built.
     let empty = JobSpec {
         n: 0,
         ..JobSpec::default()
@@ -567,6 +567,11 @@ fn bad_jobs_answer_errors_and_the_worker_keeps_serving() {
     let (rows, terminal) = submit(&mut stream, 1, &empty);
     assert!(rows.is_empty());
     assert_eq!(terminal.get("event").and_then(Json::as_str), Some("error"));
+    let msg = terminal.get("error").and_then(Json::as_str).unwrap();
+    assert!(
+        msg.contains("n must be positive"),
+        "structured error: {msg}"
+    );
     let bad = JobSpec {
         k: 0,
         ..JobSpec::default()
@@ -594,6 +599,8 @@ fn bad_jobs_answer_errors_and_the_worker_keeps_serving() {
     let counters = stats_counters(&mut stream);
     assert_eq!(num(&counters, "jobs_completed"), 1);
     assert_eq!(num(&counters, "jobs_failed"), 2);
+    // No job panicked: the report leaves zero counters out.
+    assert_eq!(counters.get("jobs_panicked").and_then(Json::as_num), None);
 
     plurality_server::send_shutdown(&addr.to_string()).expect("shutdown");
     drop(stream);

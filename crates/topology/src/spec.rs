@@ -245,7 +245,12 @@ impl TopologySpec {
     /// ignore it entirely — their construction consumes no randomness).
     pub fn build(&self, n: usize, seed: u64) -> Result<Box<dyn Topology>, String> {
         Ok(match *self {
-            Self::Clique => Box::new(Clique::new(n)),
+            Self::Clique => {
+                if n == 0 {
+                    return Err("topology clique needs n >= 1, got 0".into());
+                }
+                Box::new(Clique::new(n))
+            }
             Self::Ring => {
                 if n < 3 {
                     return Err(format!("topology ring needs n >= 3, got {n}"));
@@ -492,6 +497,7 @@ mod tests {
     #[test]
     fn build_validates_size_constraints() {
         for (spec, n) in [
+            ("clique", 0),
             ("ring", 2),
             ("torus", 7),
             ("random-regular:d=3", 3),
