@@ -191,6 +191,13 @@ impl ChurnModel {
         self.crash > 0.0 || self.leave > 0.0 || self.rejoin > 0.0 || self.join > 0.0
     }
 
+    /// Do arrivals take their color from [`Self::init`]?  Joins always
+    /// do; rejoins only when [`Self::rejoin_fresh`].
+    #[must_use]
+    pub fn uses_init(&self) -> bool {
+        self.join > 0.0 || (self.rejoin > 0.0 && self.rejoin_fresh)
+    }
+
     /// Check rate/knob sanity (parse output is always valid; this guards
     /// hand-built models).
     ///

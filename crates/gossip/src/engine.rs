@@ -828,8 +828,7 @@ impl<'t> GossipEngine<'t> {
         let lifted = dynamics.lift(initial);
         let state_count = lifted.k();
         if let Some(model) = &self.churn {
-            let uses_init = model.join > 0.0 || (model.rejoin > 0.0 && model.rejoin_fresh);
-            if uses_init && model.init == InitPolicy::Undecided {
+            if model.uses_init() && model.init == InitPolicy::Undecided {
                 assert!(
                     state_count > k_colors,
                     "churn init=undecided requires a dynamics with an undecided state \

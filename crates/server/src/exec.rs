@@ -2,19 +2,20 @@
 //! ([`prepare`]), then run its trials ([`PreparedJob::run_trial`]),
 //! streaming one row per trial.
 //!
-//! Seed derivation replicates the CLI paths exactly so identical specs
-//! give bit-identical results on either path (pinned by
-//! `tests/server_roundtrip.rs`):
+//! This is the only code that turns a spec into trials: the job server
+//! and the CLI's `run`, `gossip`, `hist` and `zoo` commands all run
+//! through it.  Each trial's seed depends on the spec and the trial index
+//! alone:
 //!
-//! * gossip / agent — trial `i` runs with `derive_stream(seed, i)`,
-//!   matching `plurality gossip`'s `MonteCarlo` closure;
-//! * mean-field — trial `i` draws from `stream_rng(seed, i)`, matching
-//!   `MonteCarlo`'s per-trial stream in `plurality run`.
+//! * gossip / agent — trial `i` runs with `derive_stream(seed, i)`;
+//! * mean-field — trial `i` draws from `stream_rng(seed, i)`, the
+//!   per-trial stream `MonteCarlo` hands trial `i`.
 //!
 //! A row is therefore a function of the spec and the trial index alone:
-//! the server runs one job's trials on several workers at once, and
-//! [`run_job`] runs them in order on the caller's thread, with the same
-//! rows.
+//! the server runs one job's trials on several workers at once, the CLI
+//! fans them out over `MonteCarlo`'s threads, and [`run_job`] runs them
+//! in order on the caller's thread, all with the same rows
+//! (`tests/server_roundtrip.rs` pins them against direct engine calls).
 //!
 //! Cached topologies are passed as `&dyn Topology` borrowed from the
 //! `Arc`, which preserves `as_any` downcasting and therefore the
@@ -26,8 +27,12 @@ use plurality_core::{Configuration, Dynamics};
 use plurality_engine::{
     AgentEngine, MeanFieldEngine, Placement, RunOptions, StopReason, TrialResult,
 };
-use plurality_gossip::{ChurnModel, FailureModel, GossipEngine, GossipStats, NetworkConfig};
+use plurality_gossip::{
+    ChurnModel, ExchangeMode, FailureModel, GossipEngine, GossipStats, InitPolicy, NetworkConfig,
+    INBOX_CAP,
+};
 use plurality_sampling::{derive_stream, stream_rng};
+use plurality_telemetry::{NoopRecorder, Recorder};
 use plurality_topology::Topology;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -192,16 +197,52 @@ pub struct PreparedJob {
     setup_ns: u64,
 }
 
-/// Set up `spec`: build its dynamics and configuration and look up
-/// (building on a miss) every cached artifact it needs, once per job.
+/// Refuse a gossip job whose rule the engine cannot run.  These are the
+/// engine's own asserts, checked here so a spec meets them as an error
+/// before any trial starts.
+fn check_gossip_rule(
+    spec: &JobSpec,
+    dynamics: &dyn Dynamics,
+    churn: Option<&ChurnModel>,
+) -> Result<(), String> {
+    if let Some(model) = churn {
+        if model.uses_init()
+            && model.init == InitPolicy::Undecided
+            && dynamics.state_count(spec.k) == spec.k
+        {
+            return Err(format!(
+                "churn init=undecided requires a dynamics with an undecided state \
+                 (dynamics '{}' has none)",
+                dynamics.name()
+            ));
+        }
+    }
+    if spec.mode == ExchangeMode::Push {
+        if let Some(draws) = dynamics.leading_draws().filter(|&s| s > INBOX_CAP) {
+            return Err(format!(
+                "dynamics '{}' draws {draws} samples per update, more than \
+                 INBOX_CAP = {INBOX_CAP}; mode push cannot serve it (use pull or push-pull)",
+                dynamics.name()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Set up `spec`: validate it, build its dynamics and configuration and
+/// look up (building on a miss) every cached artifact it needs, once per
+/// job.
 pub fn prepare(spec: &JobSpec, cache: &StateCache) -> Result<PreparedJob, JobError> {
     let started = Instant::now();
+    spec.validate()?;
     let dynamics = build_dynamics(&spec.dynamics, spec.k, spec.h, spec.noise)?;
     let cfg = spec.configuration();
     let opts = spec.run_options();
     let mut report = JobCacheReport::default();
     let plan = match spec.engine {
         EngineKind::Gossip => {
+            let churn = spec.churn_model()?;
+            check_gossip_rule(spec, dynamics.as_ref(), churn.as_ref())?;
             let (topology, lookup) = cache.topology(spec)?;
             report.topology = Some(lookup);
             let failure = spec.failure_model()?.map(|model| {
@@ -218,17 +259,6 @@ pub fn prepare(spec: &JobSpec, cache: &StateCache) -> Result<PreparedJob, JobErr
                 report.rates = Some(lookup);
                 entry
             });
-            let churn = spec.churn_model()?;
-            // Validated at spec decode too; re-checked here so
-            // hand-constructed specs fail with a structured error
-            // instead of the engine builder's panic.
-            if churn.is_some() && !topology.supports_indexed_neighbors() {
-                return Err(JobError::Failed(format!(
-                    "churn is not supported on topology '{}': the membership \
-                     overlay needs indexed neighbor access",
-                    topology.name()
-                )));
-            }
             Plan::Gossip(Box::new(GossipPlan {
                 topology,
                 failure,
@@ -262,6 +292,31 @@ impl PreparedJob {
         self.spec.trials
     }
 
+    /// The topology the job runs on; `None` for the mean-field engine,
+    /// which models the clique.
+    #[must_use]
+    pub fn topology(&self) -> Option<&dyn Topology> {
+        match &self.plan {
+            Plan::Gossip(plan) => Some(&*plan.topology),
+            Plan::Agent(topology) => Some(&**topology),
+            Plan::MeanField => None,
+        }
+    }
+
+    /// The job's dynamics.
+    #[must_use]
+    pub fn dynamics(&self) -> &dyn Dynamics {
+        self.dynamics.as_ref()
+    }
+
+    /// The job's initial configuration.  Its bias can exceed the spec's
+    /// by up to `k − 1`: `builders::biased` gives color 0 the remainder
+    /// the other colors cannot split evenly.
+    #[must_use]
+    pub fn configuration(&self) -> &Configuration {
+        &self.cfg
+    }
+
     /// `Err(Timeout)` if the job's `timeout-ms` budget, counted from the
     /// start of its setup, has run out before trial `next` is handed out.
     /// Trial 0 always runs.
@@ -291,11 +346,17 @@ impl PreparedJob {
         }
     }
 
-    /// Run trial `i` and return its row.  The engine is assembled per
-    /// call from the prepared state, which costs no cache lookup and
-    /// consumes no randomness.
+    /// Run trial `i` and return its row.
     #[must_use]
     pub fn run_trial(&self, i: usize) -> TrialRow {
+        self.run_trial_recorded(i, &mut NoopRecorder)
+    }
+
+    /// [`Self::run_trial`] with a telemetry [`Recorder`].  The engine is
+    /// assembled per call from the prepared state, which costs no cache
+    /// lookup and consumes no randomness; recording never changes the
+    /// row.
+    pub fn run_trial_recorded<Rec: Recorder>(&self, i: usize, rec: &mut Rec) -> TrialRow {
         let spec = &self.spec;
         let dynamics = self.dynamics.as_ref();
         let seed = derive_stream(spec.seed, i as u64);
@@ -329,19 +390,33 @@ impl PreparedJob {
                 if let Some(model) = churn {
                     engine = engine.with_churn_model(model.clone());
                 }
-                let (r, stats) =
-                    engine.run_detailed(dynamics, &self.cfg, Placement::Shuffled, &self.opts, seed);
+                let (r, stats) = engine.run_recorded(
+                    dynamics,
+                    &self.cfg,
+                    Placement::Shuffled,
+                    &self.opts,
+                    seed,
+                    rec,
+                );
                 TrialRow::from_result(i, &r, Some(stats))
             }
             Plan::Agent(topology) => {
                 let r = AgentEngine::new(&**topology)
                     .with_threads(spec.threads)
-                    .run(dynamics, &self.cfg, Placement::Shuffled, &self.opts, seed);
+                    .run_recorded(
+                        dynamics,
+                        &self.cfg,
+                        Placement::Shuffled,
+                        &self.opts,
+                        seed,
+                        rec,
+                    );
                 TrialRow::from_result(i, &r, None)
             }
             Plan::MeanField => {
                 let mut rng = stream_rng(spec.seed, i as u64);
-                let r = MeanFieldEngine::new(dynamics).run(&self.cfg, &self.opts, &mut rng);
+                let r = MeanFieldEngine::new(dynamics)
+                    .run_recorded(&self.cfg, &self.opts, None, &mut rng, rec);
                 TrialRow::from_result(i, &r, None)
             }
         }

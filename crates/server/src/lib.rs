@@ -28,6 +28,6 @@ pub mod wire;
 
 pub use bench::{run_bench, send_shutdown, BenchConfig, BenchReport};
 pub use cache::{CacheStats, Lookup, StateCache};
-pub use exec::{run_job, JobError, JobOutcome, TrialRow};
+pub use exec::{prepare, run_job, JobError, JobOutcome, PreparedJob, TrialRow};
 pub use server::Server;
 pub use spec::{auto_bias, build_dynamics, EngineKind, JobSpec};

@@ -2,14 +2,14 @@
 //!
 //! A [`JobSpec`] is the wire form of one experiment job: engine ×
 //! dynamics × topology × exchange mode × failure scenario × stop rule.
-//! The builders here ([`build_dynamics`], [`auto_bias`]) are the
-//! *single* construction path — the CLI subcommands call them too — so
-//! a spec resolves to identical engine state (and therefore
-//! bit-identical trajectories) whether it runs through `plurality
-//! gossip` or through the job server.  Topology construction lives in
-//! `plurality_topology` ([`TopologySpec`]): the spec's `"topology"`
-//! wire string is the shared `--topology` DSL, resolved through
-//! [`JobSpec::topology_spec`].
+//! The CLI's trial commands build one from their flags too, and both
+//! surfaces run it through [`crate::exec::prepare`], which resolves it
+//! with the builders here ([`build_dynamics`], [`auto_bias`]) — so a
+//! spec gives bit-identical trajectories whether it runs through
+//! `plurality gossip` or through the job server.  Topology construction
+//! lives in `plurality_topology` ([`TopologySpec`]): the spec's
+//! `"topology"` wire string is the shared `--topology` DSL, resolved
+//! through [`JobSpec::topology_spec`].
 //!
 //! # Wire encoding
 //!
@@ -257,7 +257,8 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Range checks shared with the CLI flag validation.
+    /// Range and combination checks, shared by the wire decoder, the CLI
+    /// flags and [`crate::exec::prepare`].
     pub fn validate(&self) -> Result<(), String> {
         if let Some(b) = self.bias {
             if b > self.n {
@@ -292,6 +293,12 @@ impl JobSpec {
             return Err("h must be positive for h-plurality".into());
         }
         let topology = self.topology_spec()?;
+        if self.engine == EngineKind::MeanField && topology != TopologySpec::Clique {
+            return Err(format!(
+                "topology {topology} requires the agent or gossip engine (the \
+                 mean-field engine models the clique only)"
+            ));
+        }
         if let Some(dsl) = &self.churn {
             if self.engine != EngineKind::Gossip {
                 return Err(format!(
@@ -305,6 +312,9 @@ impl JobSpec {
                      membership overlay needs indexed neighbor access, which implicit \
                      families cannot provide (pick clique, ring, torus, or random-regular)"
                 ));
+            }
+            if self.has_node_rates() {
+                return Err("churn cannot be combined with heterogeneous rates (fast-frac)".into());
             }
             ChurnModel::parse(dsl).map_err(|e| format!("churn: {e}"))?;
         }
@@ -556,8 +566,9 @@ mod tests {
             failure: Some("ge:up=4,down=1,loss=0.9".into()),
             churn: Some("crash:0.02;rejoin:0.2,state=fresh;join:0.1,spare=8".into()),
             inbox_policy: InboxPolicy::from_name("ttl=2").unwrap(),
+            // Churn refuses heterogeneous rates, so the fast nodes keep
+            // unit rate until churn is cleared below.
             fast_frac: 0.25,
-            fast_rate: 4.0,
             rate_time: true,
             trials: 7,
             seed: 99,
@@ -571,6 +582,7 @@ mod tests {
         spec.bias = None;
         spec.failure = None;
         spec.churn = None;
+        spec.fast_rate = 4.0;
         spec.timeout_ms = None;
         spec.rate_time = false;
         let parsed = JobSpec::from_json(&json::parse(&spec.to_json()).unwrap()).unwrap();
@@ -600,6 +612,8 @@ mod tests {
             r#"{"churn":"crash:-1"}"#,
             r#"{"churn":"join:1"}"#,
             r#"{"engine":"agent","churn":"crash:0.1"}"#,
+            r#"{"churn":"crash:0.1","fast-frac":"0.25","fast-rate":4}"#,
+            r#"{"engine":"mean-field","topology":"ring"}"#,
             r#"{"timeout-ms":0}"#,
             r#"{"threads":0}"#,
             r#"{"engine":"gossip","threads":2}"#,

@@ -1,12 +1,13 @@
 //! End-to-end protocol tests against an in-process server, including
 //! the acceptance pin: identical job specs return bit-identical trial
-//! results via the server and via the existing CLI path.
+//! results via the server and via direct library calls.
 //!
-//! "CLI path" here means the exact construction `plurality gossip` /
-//! `plurality run` performs: the same builders (`TopologySpec::build`,
-//! `spec::build_dynamics` — the CLI delegates to them) and the same
-//! per-trial seed derivation (`derive_stream(seed, i)` for gossip and
-//! the agent engine, `stream_rng(seed, i)` for mean-field trials).
+//! The direct-library reference builds each engine by hand from the
+//! public builders (`TopologySpec::build`, `spec::build_dynamics`, the
+//! engines' own constructors) with the documented per-trial seed
+//! derivation (`derive_stream(seed, i)` for gossip and the agent engine,
+//! `stream_rng(seed, i)` for mean-field trials), independently of
+//! `exec`, which the server and the CLI share.
 
 use plurality_engine::{AgentEngine, MeanFieldEngine, MonteCarlo, Placement, StopReason};
 use plurality_gossip::{ExchangeMode, FailureModel, GossipEngine, NetworkConfig};
@@ -118,7 +119,7 @@ fn gossip_jobs_are_bit_identical_to_the_cli_path() {
         ..JobSpec::default()
     };
 
-    // The CLI path, in-process: same builders, same seed derivation.
+    // The direct-library reference: same builders, same seed derivation.
     let topology = spec
         .topology_spec()
         .unwrap()
@@ -267,7 +268,8 @@ fn mean_field_jobs_match_the_monte_carlo_path() {
         max_rounds: 10_000,
         ..JobSpec::default()
     };
-    // The CLI 'run' path: MonteCarlo gives trial i the stream-i RNG.
+    // The direct-library reference: MonteCarlo gives trial i the
+    // stream-i RNG.
     let dynamics = build_dynamics(&spec.dynamics, spec.k, spec.h, spec.noise).unwrap();
     let engine = MeanFieldEngine::new(dynamics.as_ref());
     let cfg = spec.configuration();
@@ -323,8 +325,8 @@ fn churn_jobs_are_bit_identical_to_the_cli_path() {
         ..JobSpec::default()
     };
 
-    // The CLI path, in-process: same builders, same churn model, same
-    // per-trial seed derivation.
+    // The direct-library reference: same builders, same churn model,
+    // same per-trial seed derivation.
     let topology = spec
         .topology_spec()
         .unwrap()
@@ -558,34 +560,7 @@ fn timeouts_with_fanned_out_trials_stream_a_prefix() {
 fn bad_jobs_answer_errors_and_the_worker_keeps_serving() {
     let (addr, handle) = Server::spawn("127.0.0.1:0", 1).expect("spawn server");
     let mut stream = connect(addr);
-    // An empty population is refused by validation, before any topology
-    // is built.
-    let empty = JobSpec {
-        n: 0,
-        ..JobSpec::default()
-    };
-    let (rows, terminal) = submit(&mut stream, 1, &empty);
-    assert!(rows.is_empty());
-    assert_eq!(terminal.get("event").and_then(Json::as_str), Some("error"));
-    let msg = terminal.get("error").and_then(Json::as_str).unwrap();
-    assert!(
-        msg.contains("n must be positive"),
-        "structured error: {msg}"
-    );
-    let bad = JobSpec {
-        k: 0,
-        ..JobSpec::default()
-    };
-    let (rows, terminal) = submit(&mut stream, 2, &bad);
-    assert!(rows.is_empty());
-    assert_eq!(terminal.get("event").and_then(Json::as_str), Some("error"));
-    let msg = terminal.get("error").and_then(Json::as_str).unwrap();
-    assert!(
-        msg.contains("k must be positive"),
-        "structured error: {msg}"
-    );
-
-    let good = JobSpec {
+    let small = JobSpec {
         n: 400,
         k: 2,
         bias: Some(80),
@@ -593,12 +568,97 @@ fn bad_jobs_answer_errors_and_the_worker_keeps_serving() {
         max_rounds: 5_000,
         ..JobSpec::default()
     };
-    let (rows, done) = submit(&mut stream, 3, &good);
-    assert_eq!(done.get("event").and_then(Json::as_str), Some("done"));
-    assert_eq!(rows.len(), 2);
+    // Each spec is refused before any trial runs: the first four by
+    // validation, the last two where `prepare` builds the rule, because
+    // the gossip engine would panic on them.
+    let refused = [
+        (
+            JobSpec {
+                n: 0,
+                ..JobSpec::default()
+            },
+            "n must be positive",
+        ),
+        (
+            JobSpec {
+                k: 0,
+                ..JobSpec::default()
+            },
+            "k must be positive",
+        ),
+        (
+            JobSpec {
+                engine: plurality_server::EngineKind::MeanField,
+                topology: "ring".into(),
+                ..small.clone()
+            },
+            "models the clique only",
+        ),
+        (
+            JobSpec {
+                churn: Some("crash:0.01".into()),
+                fast_frac: 0.25,
+                fast_rate: 4.0,
+                ..small.clone()
+            },
+            "heterogeneous rates",
+        ),
+        (
+            JobSpec {
+                churn: Some("join:0.1,spare=10,init=undecided".into()),
+                ..small.clone()
+            },
+            "init=undecided requires",
+        ),
+        (
+            JobSpec {
+                dynamics: "h-plurality".into(),
+                h: 9,
+                mode: ExchangeMode::Push,
+                ..small.clone()
+            },
+            "more than INBOX_CAP",
+        ),
+    ];
+    for (id, (spec, expect)) in refused.iter().enumerate() {
+        let (rows, terminal) = submit(&mut stream, id as u64, spec);
+        assert!(rows.is_empty());
+        assert_eq!(terminal.get("event").and_then(Json::as_str), Some("error"));
+        let msg = terminal.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.contains(expect), "structured error: {msg}");
+    }
+
+    // The boundary cases still run: PUSH serves h = INBOX_CAP, and the
+    // undecided-state rule has a state for init=undecided arrivals.
+    let boundary = [
+        small.clone(),
+        JobSpec {
+            dynamics: "h-plurality".into(),
+            h: 8,
+            mode: ExchangeMode::Push,
+            max_rounds: 200,
+            ..small.clone()
+        },
+        JobSpec {
+            dynamics: "undecided".into(),
+            churn: Some(
+                "crash:0.01;rejoin:0.2,state=fresh;join:0.1,spare=10,init=undecided".into(),
+            ),
+            ..small.clone()
+        },
+    ];
+    for (i, spec) in boundary.iter().enumerate() {
+        let (rows, done) = submit(&mut stream, 100 + i as u64, spec);
+        assert_eq!(
+            done.get("event").and_then(Json::as_str),
+            Some("done"),
+            "{done:?}"
+        );
+        assert_eq!(rows.len(), 2);
+    }
     let counters = stats_counters(&mut stream);
-    assert_eq!(num(&counters, "jobs_completed"), 1);
-    assert_eq!(num(&counters, "jobs_failed"), 2);
+    assert_eq!(num(&counters, "jobs_completed"), boundary.len() as u64);
+    assert_eq!(num(&counters, "jobs_failed"), refused.len() as u64);
     // No job panicked: the report leaves zero counters out.
     assert_eq!(counters.get("jobs_panicked").and_then(Json::as_num), None);
 
