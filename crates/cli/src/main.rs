@@ -16,14 +16,12 @@ mod args;
 
 use args::Args;
 use plurality_analysis::{fmt_f64, wilson, Summary, Table};
-use plurality_core::{builders, Configuration, Dynamics};
-use plurality_engine::{
-    AgentEngine, MeanFieldEngine, MonteCarlo, Placement, RunOptions, StopReason, TraceLevel,
-    TrialResult,
-};
-use plurality_sampling::{derive_stream, stream_rng};
+use plurality_core::builders;
+use plurality_engine::{MeanFieldEngine, MonteCarlo, TraceLevel};
+use plurality_gossip::GossipStats;
+use plurality_sampling::stream_rng;
+use plurality_server::{prepare, EngineKind, JobSpec, PreparedJob, StateCache, TrialRow};
 use plurality_telemetry::{MetricsRecorder, MetricsReport};
-use plurality_topology::TopologySpec;
 
 const VALUE_OPTS: &[&str] = &[
     "dynamics",
@@ -174,13 +172,6 @@ fn usage() {
     );
 }
 
-fn build_dynamics(name: &str, k: usize, h: usize, noise: f64) -> Result<Box<dyn Dynamics>, String> {
-    // Shared with the job server so `plurality serve` resolves specs to
-    // bit-identical dynamics.
-    plurality_server::build_dynamics(name, k, h, noise)
-        .map_err(|e| format!("{e} (try 'plurality list')"))
-}
-
 fn list_dynamics() {
     println!(
         "3-majority      the paper's dynamics (first-sample tie rule)\n\
@@ -198,66 +189,6 @@ fn list_dynamics() {
          d3-anti         anti-majority rule (no clear-majority property)\n\
          noisy           3-majority with per-message uniform noise --noise"
     );
-}
-
-struct Common {
-    cfg: Configuration,
-    dynamics: Box<dyn Dynamics>,
-    trials: usize,
-    opts: RunOptions,
-    seed: u64,
-    threads: usize,
-}
-
-fn common(parsed: &Args) -> Result<Common, String> {
-    let n: u64 = parsed
-        .get_parsed("n", 1_000_000u64)
-        .map_err(|e| e.to_string())?;
-    let k: usize = parsed.get_parsed("k", 8usize).map_err(|e| e.to_string())?;
-    let h: usize = parsed.get_parsed("h", 5usize).map_err(|e| e.to_string())?;
-    let trials: usize = parsed
-        .get_parsed("trials", 50usize)
-        .map_err(|e| e.to_string())?;
-    let max_rounds: u64 = parsed
-        .get_parsed("max-rounds", 1_000_000u64)
-        .map_err(|e| e.to_string())?;
-    let seed: u64 = parsed.get_parsed("seed", 1u64).map_err(|e| e.to_string())?;
-    let threads: usize = parsed
-        .get_parsed(
-            "threads",
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-        .map_err(|e| e.to_string())?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
-
-    let bias = match parsed.get("bias") {
-        None | Some("auto") => plurality_server::auto_bias(n, k),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--bias expects a number or 'auto', got '{v}'"))?,
-    };
-    if bias > n {
-        return Err(format!("bias {bias} exceeds population {n}"));
-    }
-
-    let noise: f64 = parsed
-        .get_parsed("noise", 0.1f64)
-        .map_err(|e| e.to_string())?;
-    let name = parsed.get("dynamics").unwrap_or("3-majority");
-    let dynamics = build_dynamics(name, k, h, noise)?;
-    let cfg = builders::biased(n, k, bias);
-    Ok(Common {
-        cfg,
-        dynamics,
-        trials,
-        opts: RunOptions::with_max_rounds(max_rounds),
-        seed,
-        threads,
-    })
 }
 
 /// What `--metrics` / `--metrics-out` asked for.  `--metrics-out` alone
@@ -317,36 +248,142 @@ impl MetricsOpt {
     }
 }
 
-fn cmd_run(parsed: &Args) -> Result<(), String> {
-    match parsed.get("engine").unwrap_or("mean-field") {
-        "mean-field" => {
-            // The mean-field engine is clique-only; anything else on
-            // --topology must be refused, not silently ignored.
-            if parse_topology_spec(parsed)? != TopologySpec::Clique {
-                return Err(format!(
-                    "--topology {} requires --engine agent (the mean-field \
-                     engine models the clique only)",
-                    parsed.get("topology").unwrap_or("clique")
-                ));
-            }
-            cmd_run_mean_field(parsed)
-        }
-        "agent" => cmd_run_agent(parsed),
-        other => Err(format!(
-            "run supports --engine mean-field|agent, got '{other}'"
-        )),
+/// Read a trial command's job from the flags, on the CLI's defaults:
+/// n = 10⁶, `trials` trials, and every core.  Returns the spec and the
+/// number of threads its trials run on.  The agent engine shards each
+/// trial's rounds over `--threads` and runs its trials in order; the
+/// other engines run whole trials on the threads.
+fn cli_spec(parsed: &Args, engine: EngineKind, trials: usize) -> Result<(JobSpec, usize), String> {
+    let threads: usize = parsed
+        .get_parsed(
+            "threads",
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+        )
+        .map_err(|e| e.to_string())?;
+    if threads == 0 {
+        return Err("--threads must be at least 1".into());
+    }
+    let sharded = engine == EngineKind::Agent;
+    let spec = spec_from_args(
+        parsed,
+        JobSpec {
+            engine,
+            n: 1_000_000,
+            trials,
+            threads: if sharded { threads } else { 1 },
+            ..JobSpec::default()
+        },
+    )?;
+    Ok((spec, if sharded { 1 } else { threads }))
+}
+
+/// Set up `spec` for one command; the command's jobs share no cache.
+fn prepare_job(spec: &JobSpec) -> Result<PreparedJob, String> {
+    prepare(spec, &StateCache::new()).map_err(|e| e.to_string())
+}
+
+/// Run every trial of `job` on `threads` threads, rows in trial order.
+/// With a `fleet`, each trial records its own telemetry, merged into the
+/// fleet as the trial lands.
+fn run_trials(
+    job: &PreparedJob,
+    threads: usize,
+    fleet: Option<&mut MetricsReport>,
+) -> Vec<TrialRow> {
+    // Each trial seeds itself from the spec, so the runner's per-trial
+    // rng goes unused.
+    let mc = MonteCarlo {
+        trials: job.trials(),
+        threads,
+        master_seed: 0,
+    };
+    match fleet {
+        Some(fleet) => mc
+            .run_streaming(
+                |i, _| {
+                    let mut rec = MetricsRecorder::new();
+                    let row = job.run_trial_recorded(i, &mut rec);
+                    (row, rec.report())
+                },
+                |_, (_, rep)| fleet.merge(rep),
+            )
+            .into_iter()
+            .map(|(row, _)| row)
+            .collect(),
+        None => mc.run(|i, _| job.run_trial(i)),
     }
 }
 
+fn cmd_run(parsed: &Args) -> Result<(), String> {
+    let engine = match parsed.get("engine").unwrap_or("mean-field") {
+        "mean-field" => EngineKind::MeanField,
+        "agent" => EngineKind::Agent,
+        other => {
+            return Err(format!(
+                "run supports --engine mean-field|agent, got '{other}'"
+            ))
+        }
+    };
+    let (spec, threads) = cli_spec(parsed, engine, 50)?;
+    let metrics = MetricsOpt::from_args(parsed)?;
+    let job = prepare_job(&spec)?;
+    let dynamics = job.dynamics().name();
+    let cfg = job.configuration();
+    let (label, title) = match job.topology() {
+        Some(topology) => (
+            format!("run-agent {dynamics} {}", topology.name()),
+            format!(
+                "{dynamics} agent engine on {}: n = {}, k = {}, bias = {}, threads = {}",
+                topology.name(),
+                cfg.n(),
+                cfg.k(),
+                cfg.bias(),
+                spec.threads
+            ),
+        ),
+        None => (
+            format!("run {dynamics}"),
+            format!(
+                "{dynamics} on clique: n = {}, k = {}, bias = {}",
+                cfg.n(),
+                cfg.k(),
+                cfg.bias()
+            ),
+        ),
+    };
+    let mut fleet = MetricsReport::new(format!(
+        "{label} n={} k={} bias={} trials={}",
+        cfg.n(),
+        cfg.k(),
+        cfg.bias(),
+        spec.trials
+    ));
+    let start = std::time::Instant::now();
+    let rows = run_trials(&job, threads, metrics.enabled().then_some(&mut fleet));
+    print_run_table(
+        format!(
+            "{title} ({} trials, {:.2}s)",
+            spec.trials,
+            start.elapsed().as_secs_f64()
+        ),
+        &rows,
+    );
+    metrics.emit(&fleet)?;
+    Ok(())
+}
+
 /// Convergence-statistics table shared by the `run` engine paths.
-fn print_run_table(title: String, trials: usize, results: &[TrialResult]) {
+fn print_run_table(title: String, rows: &[TrialRow]) {
+    let trials = rows.len();
     let mut rounds = Summary::new();
     let mut wins = 0usize;
     let mut converged = 0usize;
-    for r in results {
-        if r.reason == StopReason::Stopped {
+    for r in rows {
+        if r.converged {
             converged += 1;
-            rounds.push(r.rounds_f64());
+            rounds.push(r.rounds as f64);
         }
         if r.success {
             wins += 1;
@@ -382,139 +419,14 @@ fn print_run_table(title: String, trials: usize, results: &[TrialResult]) {
     print!("{}", t.markdown());
 }
 
-fn cmd_run_mean_field(parsed: &Args) -> Result<(), String> {
-    let c = common(parsed)?;
-    let metrics = MetricsOpt::from_args(parsed)?;
-    let engine = MeanFieldEngine::new(c.dynamics.as_ref());
-    let mc = MonteCarlo {
-        trials: c.trials,
-        threads: c.threads,
-        master_seed: c.seed,
-    };
-    let start = std::time::Instant::now();
-    let mut fleet = MetricsReport::new(format!(
-        "run {} n={} k={} bias={} trials={}",
-        c.dynamics.name(),
-        c.cfg.n(),
-        c.cfg.k(),
-        c.cfg.bias(),
-        c.trials
-    ));
-    let results = if metrics.enabled() {
-        // Per-trial recorders merged as each trial lands; the trajectory
-        // is bit-identical to the unrecorded path (recording draws no
-        // randomness), so the stats table below is unaffected.
-        mc.run_streaming(
-            |_, rng| {
-                let mut rec = MetricsRecorder::new();
-                let r = engine.run_recorded(&c.cfg, &c.opts, None, rng, &mut rec);
-                (r, rec.report())
-            },
-            |_, (_, rep)| fleet.merge(rep),
-        )
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
-    } else {
-        mc.run(|_, rng| engine.run(&c.cfg, &c.opts, rng))
-    };
-    let elapsed = start.elapsed();
-
-    print_run_table(
-        format!(
-            "{} on clique: n = {}, k = {}, bias = {} ({} trials, {:.2}s)",
-            c.dynamics.name(),
-            c.cfg.n(),
-            c.cfg.k(),
-            c.cfg.bias(),
-            c.trials,
-            elapsed.as_secs_f64()
-        ),
-        c.trials,
-        &results,
-    );
-    metrics.emit(&fleet)?;
-    Ok(())
-}
-
-/// `run --engine agent`: explicit per-node simulation on `--topology`.
-///
-/// `--threads` here parallelizes **within** each trial (the engine's
-/// sharded round loop); trials run serially, so the trajectory of trial
-/// `i` is bit-identical to the server's agent path (seed stream
-/// `derive_stream(seed, i)`) at every thread count — see
-/// `docs/DETERMINISM.md`.
-fn cmd_run_agent(parsed: &Args) -> Result<(), String> {
-    let c = common(parsed)?;
-    let metrics = MetricsOpt::from_args(parsed)?;
-    let n = c.cfg.n() as usize;
-    let topology = build_gossip_topology(parsed, n, c.seed)?;
-    let engine = AgentEngine::new(topology.as_ref()).with_threads(c.threads);
-    let start = std::time::Instant::now();
-    let mut fleet = MetricsReport::new(format!(
-        "run-agent {} {} n={} k={} bias={} trials={}",
-        c.dynamics.name(),
-        topology.name(),
-        c.cfg.n(),
-        c.cfg.k(),
-        c.cfg.bias(),
-        c.trials
-    ));
-    let mut results = Vec::with_capacity(c.trials);
-    for i in 0..c.trials {
-        let seed = derive_stream(c.seed, i as u64);
-        let r = if metrics.enabled() {
-            let mut rec = MetricsRecorder::new();
-            let r = engine.run_recorded(
-                c.dynamics.as_ref(),
-                &c.cfg,
-                Placement::Shuffled,
-                &c.opts,
-                seed,
-                &mut rec,
-            );
-            fleet.merge(&rec.report());
-            r
-        } else {
-            engine.run(
-                c.dynamics.as_ref(),
-                &c.cfg,
-                Placement::Shuffled,
-                &c.opts,
-                seed,
-            )
-        };
-        results.push(r);
-    }
-    let elapsed = start.elapsed();
-
-    print_run_table(
-        format!(
-            "{} agent engine on {}: n = {}, k = {}, bias = {}, threads = {} \
-             ({} trials, {:.2}s)",
-            c.dynamics.name(),
-            topology.name(),
-            c.cfg.n(),
-            c.cfg.k(),
-            c.cfg.bias(),
-            c.threads,
-            c.trials,
-            elapsed.as_secs_f64()
-        ),
-        c.trials,
-        &results,
-    );
-    metrics.emit(&fleet)?;
-    Ok(())
-}
-
 fn cmd_trace(parsed: &Args) -> Result<(), String> {
-    let c = common(parsed)?;
-    let engine = MeanFieldEngine::new(c.dynamics.as_ref());
-    let mut opts = c.opts;
+    let (spec, _) = cli_spec(parsed, EngineKind::MeanField, 50)?;
+    let job = prepare_job(&spec)?;
+    let mut opts = spec.run_options();
     opts.trace = TraceLevel::Summary;
-    let mut rng = stream_rng(c.seed, 0);
-    let r = engine.run(&c.cfg, &opts, &mut rng);
+    // Trial 0's stream, as the job's own trial 0 would draw it.
+    let mut rng = stream_rng(spec.seed, 0);
+    let r = MeanFieldEngine::new(job.dynamics()).run(job.configuration(), &opts, &mut rng);
     let trace = r.trace.expect("trace requested");
 
     if !parsed.flag("quiet") {
@@ -533,7 +445,7 @@ fn cmd_trace(parsed: &Args) -> Result<(), String> {
     }
     println!(
         "\n{}: {:?} after {} rounds; winner = {:?}; plurality {}",
-        c.dynamics.name(),
+        job.dynamics().name(),
         r.reason,
         r.rounds,
         r.winner,
@@ -543,8 +455,9 @@ fn cmd_trace(parsed: &Args) -> Result<(), String> {
 }
 
 fn cmd_zoo(parsed: &Args) -> Result<(), String> {
-    let c = common(parsed)?;
-    let k = c.cfg.k();
+    let (spec, threads) = cli_spec(parsed, EngineKind::MeanField, 50)?;
+    // Every rule starts from the configuration of the flags' own job.
+    let cfg = prepare_job(&spec)?.configuration().clone();
     let names = [
         "3-majority",
         "h-plurality",
@@ -558,39 +471,29 @@ fn cmd_zoo(parsed: &Args) -> Result<(), String> {
     let mut t = Table::new(
         format!(
             "dynamics zoo: n = {}, k = {}, bias = {} ({} trials each)",
-            c.cfg.n(),
-            k,
-            c.cfg.bias(),
-            c.trials
+            cfg.n(),
+            cfg.k(),
+            cfg.bias(),
+            spec.trials
         ),
         &["dynamics", "converged", "win rate", "mean rounds"],
     );
     for (i, name) in names.iter().enumerate() {
-        let h: usize = parsed.get_parsed("h", 5usize).map_err(|e| e.to_string())?;
-        let noise: f64 = parsed
-            .get_parsed("noise", 0.1f64)
-            .map_err(|e| e.to_string())?;
-        let d = build_dynamics(name, k, h, noise)?;
-        let engine = MeanFieldEngine::new(d.as_ref());
-        let mc = MonteCarlo {
-            trials: c.trials,
-            threads: c.threads,
-            master_seed: c.seed ^ (i as u64) << 32,
-        };
-        let results = mc.run(|_, rng| engine.run(&c.cfg, &c.opts, rng));
-        let converged = results
-            .iter()
-            .filter(|r| r.reason == StopReason::Stopped)
-            .count();
-        let wins = results.iter().filter(|r| r.success).count();
+        let job = prepare_job(&JobSpec {
+            dynamics: (*name).to_string(),
+            seed: spec.seed ^ (i as u64) << 32,
+            ..spec.clone()
+        })?;
+        let rows = run_trials(&job, threads, None);
+        let wins = rows.iter().filter(|r| r.success).count();
         let mut rounds = Summary::new();
-        for r in results.iter().filter(|r| r.reason == StopReason::Stopped) {
-            rounds.push(r.rounds_f64());
+        for r in rows.iter().filter(|r| r.converged) {
+            rounds.push(r.rounds as f64);
         }
         t.push_row(vec![
-            d.name(),
-            format!("{converged}/{}", c.trials),
-            fmt_f64(wins as f64 / c.trials as f64),
+            job.dynamics().name(),
+            format!("{}/{}", rounds.count(), spec.trials),
+            fmt_f64(wins as f64 / spec.trials as f64),
             fmt_f64(rounds.mean()),
         ]);
     }
@@ -599,21 +502,15 @@ fn cmd_zoo(parsed: &Args) -> Result<(), String> {
 }
 
 fn cmd_hist(parsed: &Args) -> Result<(), String> {
-    let c = common(parsed)?;
+    let (spec, threads) = cli_spec(parsed, EngineKind::MeanField, 50)?;
     let bins: usize = parsed
         .get_parsed("bins", 30usize)
         .map_err(|e| e.to_string())?;
-    let engine = MeanFieldEngine::new(c.dynamics.as_ref());
-    let mc = MonteCarlo {
-        trials: c.trials,
-        threads: c.threads,
-        master_seed: c.seed,
-    };
-    let results = mc.run(|_, rng| engine.run(&c.cfg, &c.opts, rng));
-    let rounds: Vec<f64> = results
+    let job = prepare_job(&spec)?;
+    let rounds: Vec<f64> = run_trials(&job, threads, None)
         .iter()
-        .filter(|r| r.reason == StopReason::Stopped)
-        .map(|r| r.rounds_f64())
+        .filter(|r| r.converged)
+        .map(|r| r.rounds as f64)
         .collect();
     if rounds.is_empty() {
         return Err("no trial converged within --max-rounds".into());
@@ -623,13 +520,14 @@ fn cmd_hist(parsed: &Args) -> Result<(), String> {
     let hi = (s.max() + 1.0).ceil();
     let mut hist = plurality_analysis::Histogram::new(lo, hi, bins);
     hist.record_all(&rounds);
+    let cfg = job.configuration();
     println!(
         "{} rounds-to-consensus over {} converged trials (n = {}, k = {}, bias = {}):\n",
-        c.dynamics.name(),
+        job.dynamics().name(),
         rounds.len(),
-        c.cfg.n(),
-        c.cfg.k(),
-        c.cfg.bias()
+        cfg.n(),
+        cfg.k(),
+        cfg.bias()
     );
     print!("{}", hist.ascii(50));
     println!(
@@ -643,183 +541,49 @@ fn cmd_hist(parsed: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse the `--topology` / `--degree` flags into the shared
-/// [`TopologySpec`] grammar — the same parser the job server's wire
-/// spec uses, so `plurality serve` resolves an identical spec to a
-/// bit-identical wiring (including the seed salt).
-fn parse_topology_spec(parsed: &Args) -> Result<TopologySpec, String> {
-    let degree: usize = parsed
-        .get_parsed("degree", plurality_topology::DEFAULT_REGULAR_DEGREE)
-        .map_err(|e| e.to_string())?;
-    TopologySpec::parse_with_degree(parsed.get("topology").unwrap_or("clique"), degree)
-        .map_err(|e| format!("--topology: {e}"))
-}
-
-/// Build the topology selected by `--topology` / `--degree`.
-fn build_gossip_topology(
-    parsed: &Args,
-    n: usize,
-    seed: u64,
-) -> Result<Box<dyn plurality_topology::Topology>, String> {
-    parse_topology_spec(parsed)?
-        .build(n, seed)
-        .map_err(|e| format!("--topology: {e}"))
-}
-
 fn cmd_gossip(parsed: &Args) -> Result<(), String> {
-    use plurality_gossip::{
-        ExchangeMode, FailureModel, GossipEngine, InboxPolicy, NetworkConfig, Scheduler,
-    };
-
-    let c = common(parsed)?;
+    // Per-trial event simulation is heavier than a mean-field round, so
+    // the default is fewer trials than 'run'.
+    let (spec, threads) = cli_spec(parsed, EngineKind::Gossip, 20)?;
     let metrics = MetricsOpt::from_args(parsed)?;
-    let delay: f64 = parsed
-        .get_parsed("delay", 0.0f64)
-        .map_err(|e| e.to_string())?;
-    let loss: f64 = parsed
-        .get_parsed("loss", 0.0f64)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&delay) {
-        return Err(format!("--delay {delay} out of [0, 1]"));
-    }
-    if !(0.0..=1.0).contains(&loss) {
-        return Err(format!("--loss {loss} out of [0, 1]"));
-    }
-    let failure = match parsed.get("failure") {
-        Some(spec) => Some(
-            FailureModel::parse(spec, NetworkConfig::new(delay, loss))
-                .map_err(|e| format!("--failure: {e}"))?,
-        ),
-        None => None,
-    };
-    let churn = match parsed.get("churn") {
-        Some(spec) => {
-            Some(plurality_gossip::ChurnModel::parse(spec).map_err(|e| format!("--churn: {e}"))?)
-        }
-        None => None,
-    };
-    let inbox_policy = InboxPolicy::from_name(parsed.get("inbox-policy").unwrap_or("drop-oldest"))?;
-    let scheduler = Scheduler::from_name(parsed.get("scheduler").unwrap_or("sequential"))?;
-    let mode = ExchangeMode::from_name(parsed.get("mode").unwrap_or("pull"))?;
-    let fast_frac: f64 = parsed
-        .get_parsed("fast-frac", 0.0f64)
-        .map_err(|e| e.to_string())?;
-    let fast_rate: f64 = parsed
-        .get_parsed("fast-rate", 1.0f64)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&fast_frac) {
-        return Err(format!("--fast-frac {fast_frac} out of [0, 1]"));
-    }
-    if !(fast_rate.is_finite() && fast_rate > 0.0) {
-        return Err(format!("--fast-rate {fast_rate} must be finite and > 0"));
-    }
-    // Per-trial event simulation is heavier than a mean-field round;
-    // default to fewer trials than 'run' unless --trials is explicit.
-    let trials = match parsed.get("trials") {
-        Some(_) => c.trials,
-        None => c.trials.min(20),
-    };
-
-    let n = c.cfg.n() as usize;
-    let topology = build_gossip_topology(parsed, n, c.seed)?;
-    let mut engine = GossipEngine::new(topology.as_ref())
-        .with_mode(mode)
-        .with_scheduler(scheduler)
-        .with_inbox_policy(inbox_policy);
-    engine = match &failure {
-        Some(model) => engine.with_failure_model(model.clone()),
-        None => engine.with_network(NetworkConfig::new(delay, loss)),
-    };
-    let fast_nodes = (fast_frac * n as f64).round() as usize;
-    if churn.is_some() && fast_nodes > 0 && fast_rate != 1.0 {
-        return Err("--churn cannot be combined with heterogeneous rates (--fast-frac)".into());
-    }
-    if fast_nodes > 0 && fast_rate != 1.0 {
-        let rates: Vec<f64> = (0..n)
-            .map(|v| if v < fast_nodes { fast_rate } else { 1.0 })
-            .collect();
-        engine = engine.with_node_rates(rates);
-    }
-    if parsed.flag("rate-time") {
-        engine = engine.with_rate_weighted_time(true);
-    }
-    if let Some(model) = &churn {
-        if !topology.supports_indexed_neighbors() {
-            return Err(format!(
-                "--churn is not supported on implicit topology '{}': the membership \
-                 overlay needs indexed neighbor access (pick clique, ring, torus, or \
-                 random-regular)",
-                topology.name()
-            ));
-        }
-        engine = engine.with_churn_model(model.clone());
-    }
-    let mc = MonteCarlo {
-        trials,
-        threads: c.threads,
-        master_seed: c.seed,
-    };
-    let start = std::time::Instant::now();
+    let job = prepare_job(&spec)?;
+    let dynamics = job.dynamics().name();
+    let topology = job
+        .topology()
+        .expect("gossip jobs run on a topology")
+        .name();
+    let cfg = job.configuration();
+    let trials = spec.trials;
     let mut fleet = MetricsReport::new(format!(
-        "gossip {} {} n={} mode={} trials={trials}",
-        c.dynamics.name(),
-        topology.name(),
-        c.cfg.n(),
-        mode.name()
+        "gossip {dynamics} {topology} n={} mode={} trials={trials}",
+        cfg.n(),
+        spec.mode.name()
     ));
-    let results = if metrics.enabled() {
-        mc.run_streaming(
-            |i, _| {
-                let mut rec = MetricsRecorder::new();
-                let (r, s) = engine.run_recorded(
-                    c.dynamics.as_ref(),
-                    &c.cfg,
-                    plurality_engine::Placement::Shuffled,
-                    &c.opts,
-                    plurality_sampling::derive_stream(c.seed, i as u64),
-                    &mut rec,
-                );
-                (r, s, rec.report())
-            },
-            |_, (_, _, rep)| fleet.merge(rep),
-        )
-        .into_iter()
-        .map(|(r, s, _)| (r, s))
-        .collect()
-    } else {
-        mc.run(|i, _| {
-            engine.run_detailed(
-                c.dynamics.as_ref(),
-                &c.cfg,
-                plurality_engine::Placement::Shuffled,
-                &c.opts,
-                plurality_sampling::derive_stream(c.seed, i as u64),
-            )
-        })
-    };
+    let start = std::time::Instant::now();
+    let rows = run_trials(&job, threads, metrics.enabled().then_some(&mut fleet));
     let elapsed = start.elapsed();
 
     let mut t = Table::new(
         format!(
-            "{} async gossip on {}: n = {}, k = {}, bias = {}, mode = {}, scheduler = {}, \
-             delay = {delay}, loss = {loss}{}{}{} ({trials} trials, {:.2}s)",
-            c.dynamics.name(),
-            topology.name(),
-            c.cfg.n(),
-            c.cfg.k(),
-            c.cfg.bias(),
-            mode.name(),
-            scheduler.name(),
-            match &failure {
+            "{dynamics} async gossip on {topology}: n = {}, k = {}, bias = {}, mode = {}, \
+             scheduler = {}, delay = {}, loss = {}{}{}{} ({trials} trials, {:.2}s)",
+            cfg.n(),
+            cfg.k(),
+            cfg.bias(),
+            spec.mode.name(),
+            spec.scheduler.name(),
+            spec.delay,
+            spec.loss,
+            match spec.failure_model()? {
                 Some(model) => format!(", failure = {}", model.label()),
                 None => String::new(),
             },
-            match &churn {
+            match spec.churn_model()? {
                 Some(model) => format!(", churn = {}", model.label()),
                 None => String::new(),
             },
-            if fast_nodes > 0 && fast_rate != 1.0 {
-                format!(", {fast_nodes} nodes at rate {fast_rate}")
+            if spec.has_node_rates() {
+                format!(", {} nodes at rate {}", spec.fast_nodes(), spec.fast_rate)
             } else {
                 String::new()
             },
@@ -839,20 +603,22 @@ fn cmd_gossip(parsed: &Args) -> Result<(), String> {
             "starved",
         ],
     );
+    let stats: Vec<&GossipStats> = rows
+        .iter()
+        .map(|r| r.gossip.as_ref().expect("gossip rows carry their stats"))
+        .collect();
     let mut ticks = Summary::new();
     let mut wins = 0usize;
-    let mut converged = 0usize;
-    for (i, (r, s)) in results.iter().enumerate() {
-        if r.reason == StopReason::Stopped {
-            converged += 1;
+    for (r, s) in rows.iter().zip(&stats) {
+        if r.converged {
             ticks.push(r.rounds as f64);
         }
         if r.success {
             wins += 1;
         }
         t.push_row(vec![
-            i.to_string(),
-            if r.reason == StopReason::Stopped {
+            r.trial.to_string(),
+            if r.converged {
                 r.rounds.to_string()
             } else {
                 format!(">{} (cap)", r.rounds)
@@ -872,7 +638,10 @@ fn cmd_gossip(parsed: &Args) -> Result<(), String> {
 
     let iv = wilson(wins, trials, 0.05);
     let mut summary = Table::new("summary".to_string(), &["metric", "value"]);
-    summary.push_row(vec!["converged".into(), format!("{converged}/{trials}")]);
+    summary.push_row(vec![
+        "converged".into(),
+        format!("{}/{trials}", ticks.count()),
+    ]);
     summary.push_row(vec![
         "win rate (95% CI)".into(),
         format!(
@@ -890,23 +659,21 @@ fn cmd_gossip(parsed: &Args) -> Result<(), String> {
             format!("{} / {}", fmt_f64(ticks.min()), fmt_f64(ticks.max())),
         ]);
     }
-    if churn.is_some() {
-        let (mut joins, mut crashes, mut leaves, mut rejoins, mut alive) =
-            (0u64, 0u64, 0u64, 0u64, 0u64);
-        for (_, s) in &results {
-            joins += s.churn_joins;
-            crashes += s.churn_crashes;
-            leaves += s.churn_leaves;
-            rejoins += s.churn_rejoins;
-            alive += s.final_alive;
-        }
+    if spec.churn.is_some() {
+        let total = |f: fn(&GossipStats) -> u64| stats.iter().map(|s| f(s)).sum::<u64>();
         summary.push_row(vec![
             "churn events (join/crash/leave/rejoin)".into(),
-            format!("{joins} / {crashes} / {leaves} / {rejoins}"),
+            format!(
+                "{} / {} / {} / {}",
+                total(|s| s.churn_joins),
+                total(|s| s.churn_crashes),
+                total(|s| s.churn_leaves),
+                total(|s| s.churn_rejoins)
+            ),
         ]);
         summary.push_row(vec![
             "mean final alive".into(),
-            fmt_f64(alive as f64 / trials as f64),
+            fmt_f64(total(|s| s.final_alive) as f64 / trials as f64),
         ]);
     }
     print!("{}", summary.markdown());
@@ -914,14 +681,10 @@ fn cmd_gossip(parsed: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Build a server [`plurality_server::JobSpec`] from the shared CLI
-/// flags — the same names `gossip` takes, plus `--engine`.
-fn spec_from_args(parsed: &Args) -> Result<plurality_server::JobSpec, String> {
+/// Read the job flags onto `spec`, whose fields hold the defaults, and
+/// validate the result.  The caller sets the engine and thread count.
+fn spec_from_args(parsed: &Args, mut spec: JobSpec) -> Result<JobSpec, String> {
     use plurality_gossip::{ExchangeMode, InboxPolicy, Scheduler};
-    let mut spec = plurality_server::JobSpec {
-        engine: plurality_server::EngineKind::from_name(parsed.get("engine").unwrap_or("gossip"))?,
-        ..plurality_server::JobSpec::default()
-    };
     if let Some(name) = parsed.get("dynamics") {
         spec.dynamics = name.to_string();
     }
@@ -981,9 +744,6 @@ fn spec_from_args(parsed: &Args) -> Result<plurality_server::JobSpec, String> {
     spec.max_rounds = parsed
         .get_parsed("max-rounds", spec.max_rounds)
         .map_err(|e| e.to_string())?;
-    spec.threads = parsed
-        .get_parsed("threads", spec.threads)
-        .map_err(|e| e.to_string())?;
     spec.validate()?;
     Ok(spec)
 }
@@ -1017,7 +777,16 @@ fn cmd_serve(parsed: &Args) -> Result<(), String> {
 }
 
 fn cmd_bench_client(parsed: &Args) -> Result<(), String> {
-    let spec = spec_from_args(parsed)?;
+    let spec = spec_from_args(
+        parsed,
+        JobSpec {
+            engine: EngineKind::from_name(parsed.get("engine").unwrap_or("gossip"))?,
+            threads: parsed
+                .get_parsed("threads", 1usize)
+                .map_err(|e| e.to_string())?,
+            ..JobSpec::default()
+        },
+    )?;
     let cfg = plurality_server::BenchConfig {
         addr: parsed.get("addr").unwrap_or("127.0.0.1:7117").to_string(),
         freq: parsed

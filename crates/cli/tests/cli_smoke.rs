@@ -1,10 +1,16 @@
 //! End-to-end smokes for the CLI binary: every surface the observability
 //! layer added — `--metrics`, `--metrics-out`, `gossip --topology`, and
 //! the `experiment` subcommand — runs through the real executable, and
-//! the JSONL artifact round-trips through the schema validator.
+//! the JSONL artifact round-trips through the schema validator.  The
+//! trial commands are also pinned against `run_job` on the spec their
+//! flags and defaults map to, and refused specs must exit 2 without a
+//! panic.
 
 use std::process::{Command, Output};
 
+use plurality_analysis::{fmt_f64, Summary};
+use plurality_gossip::ExchangeMode;
+use plurality_server::{run_job, EngineKind, JobSpec, StateCache, TrialRow};
 use plurality_telemetry::{Counter, MetricsReport};
 
 fn run(args: &[&str]) -> Output {
@@ -22,6 +28,186 @@ fn stdout(out: &Output) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The cells of every markdown table row in `text`.
+fn table_rows(text: &str) -> Vec<Vec<String>> {
+    text.lines()
+        .filter(|line| line.starts_with("| "))
+        .map(|line| {
+            line.trim_matches('|')
+                .split('|')
+                .map(|cell| cell.trim().to_string())
+                .collect()
+        })
+        .collect()
+}
+
+/// The rows `run_job` streams for `spec`, in trial order.
+fn job_rows(spec: &JobSpec) -> Vec<TrialRow> {
+    let mut rows = Vec::new();
+    run_job(spec, &StateCache::new(), |row| rows.push(row.clone())).expect("job runs");
+    rows
+}
+
+#[test]
+fn gossip_rows_match_run_job_for_the_same_spec() {
+    // --trials and --k are left to the CLI defaults (20 trials, 8
+    // colors); --threads 2 runs whole trials on two threads.
+    let out = run(&[
+        "gossip",
+        "--n",
+        "600",
+        "--bias",
+        "240",
+        "--seed",
+        "5",
+        "--mode",
+        "push-pull",
+        "--topology",
+        "random-regular",
+        "--degree",
+        "6",
+        "--failure",
+        "edge:loss=0.0..0.3",
+        "--fast-frac",
+        "0.25",
+        "--fast-rate",
+        "4",
+        "--max-rounds",
+        "20000",
+        "--threads",
+        "2",
+    ]);
+    let text = stdout(&out);
+    let expected = job_rows(&JobSpec {
+        engine: EngineKind::Gossip,
+        n: 600,
+        bias: Some(240),
+        seed: 5,
+        mode: ExchangeMode::PushPull,
+        topology: "random-regular".into(),
+        degree: 6,
+        failure: Some("edge:loss=0.0..0.3".into()),
+        fast_frac: 0.25,
+        fast_rate: 4.0,
+        max_rounds: 20_000,
+        trials: 20,
+        ..JobSpec::default()
+    });
+    let rows: Vec<Vec<String>> = table_rows(&text)
+        .into_iter()
+        .filter(|cells| cells.len() == 11 && cells[0].parse::<usize>().is_ok())
+        .collect();
+    assert_eq!(rows.len(), expected.len(), "per-trial rows:\n{text}");
+    for (cells, row) in rows.iter().zip(&expected) {
+        let s = row.gossip.as_ref().expect("gossip rows carry stats");
+        let want = [
+            row.trial.to_string(),
+            if row.converged {
+                row.rounds.to_string()
+            } else {
+                format!(">{} (cap)", row.rounds)
+            },
+            row.winner.map_or("-".into(), |w| w.to_string()),
+            if row.success { "WON" } else { "lost" }.to_string(),
+            s.activations.to_string(),
+            s.messages.to_string(),
+            s.lost_messages.to_string(),
+            s.delayed_messages.to_string(),
+            s.superseded_commits.to_string(),
+            s.inbox_served.to_string(),
+            s.starved_updates.to_string(),
+        ];
+        assert_eq!(cells[..], want[..], "trial {}", row.trial);
+    }
+}
+
+#[test]
+fn run_agent_statistics_match_run_job_for_the_same_spec() {
+    // --trials, --bias and --topology are left to the CLI defaults: 50
+    // trials at the auto bias on the clique.
+    let out = run(&[
+        "run",
+        "--engine",
+        "agent",
+        "--n",
+        "2000",
+        "--k",
+        "3",
+        "--seed",
+        "11",
+        "--threads",
+        "2",
+    ]);
+    let text = stdout(&out);
+    let rows = job_rows(&JobSpec {
+        engine: EngineKind::Agent,
+        n: 2000,
+        k: 3,
+        seed: 11,
+        trials: 50,
+        ..JobSpec::default()
+    });
+    let mut rounds = Summary::new();
+    for r in rows.iter().filter(|r| r.converged) {
+        rounds.push(r.rounds as f64);
+    }
+    let wins = rows.iter().filter(|r| r.success).count();
+    let cell = |metric: &str| {
+        table_rows(&text)
+            .into_iter()
+            .find(|cells| cells[0] == metric)
+            .unwrap_or_else(|| panic!("no '{metric}' row:\n{text}"))[1]
+            .clone()
+    };
+    assert_eq!(cell("converged"), format!("{}/50", rounds.count()));
+    assert_eq!(cell("plurality wins"), format!("{wins}/50"));
+    assert_eq!(cell("mean rounds"), fmt_f64(rounds.mean()));
+}
+
+#[test]
+fn refused_specs_exit_2_with_an_error_and_no_panic() {
+    for args in [
+        &["run", "--n", "1000", "--topology", "ring"][..],
+        &["hist", "--n", "1000", "--topology", "torus"],
+        &["run", "--n", "1000", "--k", "0"],
+        &[
+            "gossip",
+            "--n",
+            "1000",
+            "--churn",
+            "crash:0.01",
+            "--fast-frac",
+            "0.25",
+            "--fast-rate",
+            "4",
+        ],
+        &[
+            "gossip",
+            "--n",
+            "1000",
+            "--churn",
+            "join:0.1,spare=10,init=undecided",
+        ],
+        &[
+            "gossip",
+            "--n",
+            "1000",
+            "--mode",
+            "push",
+            "--dynamics",
+            "h-plurality",
+            "--h",
+            "9",
+        ],
+    ] {
+        let out = run(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{err}");
+        assert!(err.contains("error:"), "{args:?}: no error line:\n{err}");
+        assert!(!err.contains("panicked"), "{args:?} panicked:\n{err}");
+    }
 }
 
 #[test]
