@@ -26,6 +26,11 @@
 //! is written by exactly one worker and reads only the previous round's
 //! buffer, so the barrier provides all the ordering the round needs.
 //!
+//! One worker runs a sequential loop over plain state arrays instead.
+//! The pool handles one worker too, but running T = 1 on it made the
+//! clique's node update (`engine.ns_per_update_t1.agent-clique` in
+//! perfbench) about 12% slower on a 2-CPU host, so the plain loop stays.
+//!
 //! # Narrow state words
 //!
 //! The per-node state arrays store `u8`/`u16`/`u32` words, picked by the
@@ -127,6 +132,28 @@ pub enum StateWidth {
     U16,
     /// Force `u32` words (always fits).
     U32,
+}
+
+impl StateWidth {
+    /// The concrete width (never `Auto`) a run over `state_count` states
+    /// uses.
+    ///
+    /// # Panics
+    /// Panics if a forced width cannot hold `state_count` states.
+    fn resolve(self, state_count: usize) -> Self {
+        let capacity = match self {
+            Self::Auto if state_count <= u8::CAPACITY => return Self::U8,
+            Self::Auto if state_count <= u16::CAPACITY => return Self::U16,
+            Self::Auto | Self::U32 => return Self::U32,
+            Self::U8 => u8::CAPACITY,
+            Self::U16 => u16::CAPACITY,
+        };
+        assert!(
+            state_count <= capacity,
+            "state count {state_count} does not fit forced StateWidth::{self:?}"
+        );
+        self
+    }
 }
 
 /// Lay a (lifted) state configuration onto nodes: contiguous blocks per
@@ -514,6 +541,19 @@ fn after_round<D: DynamicsCore, Rec: Recorder>(
     None
 }
 
+/// A trial after setup, as the round loop takes it: the lifted layout
+/// and counts, and what [`after_round`] needs to close each round.
+struct Trial<'o> {
+    layout: Vec<u32>,
+    counts: Vec<u64>,
+    opts: &'o RunOptions,
+    seed: u64,
+    trace: Option<Trace>,
+    full: bool,
+    k_colors: usize,
+    initial_plurality: usize,
+}
+
 impl<'t> AgentEngine<'t> {
     /// Default chunk granularity (nodes per RNG stream).
     pub const DEFAULT_CHUNK: usize = 4096;
@@ -660,8 +700,8 @@ impl<'t> AgentEngine<'t> {
         }
     }
 
-    /// Third dispatch level: trial setup, then pick the state-word width
-    /// and enter the monomorphized round loop.
+    /// Third dispatch level: trial setup, then resolve the state-word
+    /// width and enter the monomorphized round loop.
     #[allow(clippy::too_many_arguments)]
     fn run_core<T: TopologyCore, D: DynamicsCore, Rec: Recorder>(
         &self,
@@ -712,132 +752,50 @@ impl<'t> AgentEngine<'t> {
             return out;
         }
 
-        let check_fit = |cap: usize, width: &str| {
-            assert!(
-                state_count <= cap,
-                "state count {state_count} does not fit forced StateWidth::{width}"
-            );
+        let trial = Trial {
+            layout,
+            counts,
+            opts,
+            seed,
+            trace,
+            full,
+            k_colors,
+            initial_plurality,
         };
-        match self.width {
-            StateWidth::Auto => {
-                if state_count <= u8::CAPACITY {
-                    self.run_sized::<T, D, u8, Rec>(
-                        topology,
-                        dynamics,
-                        layout,
-                        counts,
-                        state_count,
-                        k_colors,
-                        initial_plurality,
-                        opts,
-                        seed,
-                        trace,
-                        full,
-                        rec,
-                    )
-                } else if state_count <= u16::CAPACITY {
-                    self.run_sized::<T, D, u16, Rec>(
-                        topology,
-                        dynamics,
-                        layout,
-                        counts,
-                        state_count,
-                        k_colors,
-                        initial_plurality,
-                        opts,
-                        seed,
-                        trace,
-                        full,
-                        rec,
-                    )
-                } else {
-                    self.run_sized::<T, D, u32, Rec>(
-                        topology,
-                        dynamics,
-                        layout,
-                        counts,
-                        state_count,
-                        k_colors,
-                        initial_plurality,
-                        opts,
-                        seed,
-                        trace,
-                        full,
-                        rec,
-                    )
-                }
-            }
-            StateWidth::U8 => {
-                check_fit(u8::CAPACITY, "U8");
-                self.run_sized::<T, D, u8, Rec>(
-                    topology,
-                    dynamics,
-                    layout,
-                    counts,
-                    state_count,
-                    k_colors,
-                    initial_plurality,
-                    opts,
-                    seed,
-                    trace,
-                    full,
-                    rec,
-                )
-            }
-            StateWidth::U16 => {
-                check_fit(u16::CAPACITY, "U16");
-                self.run_sized::<T, D, u16, Rec>(
-                    topology,
-                    dynamics,
-                    layout,
-                    counts,
-                    state_count,
-                    k_colors,
-                    initial_plurality,
-                    opts,
-                    seed,
-                    trace,
-                    full,
-                    rec,
-                )
-            }
-            StateWidth::U32 => self.run_sized::<T, D, u32, Rec>(
-                topology,
-                dynamics,
-                layout,
-                counts,
-                state_count,
-                k_colors,
-                initial_plurality,
-                opts,
-                seed,
-                trace,
-                full,
-                rec,
-            ),
+        match self.width.resolve(state_count) {
+            StateWidth::U8 => self.run_sized::<T, D, u8, Rec>(topology, dynamics, trial, rec),
+            StateWidth::U16 => self.run_sized::<T, D, u16, Rec>(topology, dynamics, trial, rec),
+            _ => self.run_sized::<T, D, u32, Rec>(topology, dynamics, trial, rec),
         }
     }
 
     /// The monomorphized round loop: sequential double-buffer when
     /// `threads == 1` (or a single chunk), persistent barrier-synced
     /// worker pool otherwise.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// Never inlined: each width reaches it from one call site, and
+    /// inlining all 75 topology × dynamics × width loops into their
+    /// callers grew the release CLI binary from 96 MB to 114 MB.
+    #[inline(never)]
     fn run_sized<T: TopologyCore, D: DynamicsCore, W: StateWord, Rec: Recorder>(
         &self,
         topology: &T,
         dynamics: &D,
-        layout: Vec<u32>,
-        mut counts: Vec<u64>,
-        state_count: usize,
-        k_colors: usize,
-        initial_plurality: usize,
-        opts: &RunOptions,
-        seed: u64,
-        mut trace: Option<Trace>,
-        full: bool,
+        trial: Trial<'_>,
         rec: &mut Rec,
     ) -> TrialResult {
+        let Trial {
+            layout,
+            mut counts,
+            opts,
+            seed,
+            mut trace,
+            full,
+            k_colors,
+            initial_plurality,
+        } = trial;
         let n = layout.len();
+        let state_count = counts.len();
         let chunk = self.chunk_size;
         let num_chunks = n.div_ceil(chunk);
         let gather = Gather::for_rule(dynamics);
